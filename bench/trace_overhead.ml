@@ -146,17 +146,24 @@ let run_workload ?policy ?(tracing = false) ?(sinks = []) () =
    variants are interleaved rep-by-rep so slow drift in host speed
    (frequency scaling, noisy neighbours) hits both equally instead of
    masquerading as tracing overhead; min is the noise-robust estimator
-   (a run can only be slowed down by the host). *)
+   (a run can only be slowed down by the host). Which variant goes first
+   alternates per rep, and every timed run starts from a fully collected
+   heap, so neither variant pays for the garbage the other left behind. *)
 let host_times ?policy ~reps () =
   let best_off = ref infinity and best_on = ref infinity in
-  for _ = 1 to reps do
+  let timed best f =
+    Gc.full_major ();
     let t0 = Unix.gettimeofday () in
-    ignore (run_workload ?policy ~tracing:false ());
-    best_off := Float.min !best_off (Unix.gettimeofday () -. t0);
+    ignore (f ());
+    best := Float.min !best (Unix.gettimeofday () -. t0)
+  in
+  let off () = timed best_off (fun () -> run_workload ?policy ~tracing:false ()) in
+  let on () =
     let sinks = [ Obs.Chrome.sink (Obs.Chrome.create ()) ] in
-    let t1 = Unix.gettimeofday () in
-    ignore (run_workload ?policy ~tracing:true ~sinks ());
-    best_on := Float.min !best_on (Unix.gettimeofday () -. t1)
+    timed best_on (fun () -> run_workload ?policy ~tracing:true ~sinks ())
+  in
+  for rep = 1 to reps do
+    if rep mod 2 = 0 then (off (); on ()) else (on (); off ())
   done;
   (!best_off, !best_on)
 

@@ -25,7 +25,8 @@ let slice_events = 512
 type client = {
   fd : Unix.file_descr;
   inbuf : Buffer.t;
-  mutable out : string; (* bytes queued for this client *)
+  out : Buffer.t; (* bytes queued for this client ... *)
+  mutable out_pos : int; (* ... of which the first [out_pos] are sent *)
   mutable subs : int list; (* session subscription ids owned here *)
   mutable run_id : int option; (* id of an in-flight run-to-quiescence *)
 }
@@ -38,7 +39,11 @@ type daemon = {
   mutable stopping : bool;
 }
 
-let enqueue c line = c.out <- c.out ^ line ^ "\n"
+let enqueue c line =
+  Buffer.add_string c.out line;
+  Buffer.add_char c.out '\n'
+
+let pending c = Buffer.length c.out - c.out_pos
 
 let reply c ~id result = enqueue c (Protocol.encode_reply ~id result)
 
@@ -110,21 +115,19 @@ let handle_line d c line =
    and gets dropped (there is no line to correlate an error reply to). *)
 let max_frame = 4 * 1024 * 1024
 
+(* [inbuf] holds the unterminated tail of earlier reads; only the newly
+   read bytes are scanned for line ends. *)
 let feed d c bytes len =
-  Buffer.add_subbytes c.inbuf bytes 0 len;
-  let data = Buffer.contents c.inbuf in
-  let n = String.length data in
-  let pos = ref 0 in
-  let continue = ref true in
-  while !continue do
-    match String.index_from_opt data !pos '\n' with
-    | Some nl when nl < n ->
-      handle_line d c (String.sub data !pos (nl - !pos));
-      pos := nl + 1
-    | _ -> continue := false
+  let start = ref 0 in
+  for i = 0 to len - 1 do
+    if Bytes.get bytes i = '\n' then begin
+      Buffer.add_subbytes c.inbuf bytes !start (i - !start);
+      handle_line d c (Buffer.contents c.inbuf);
+      Buffer.clear c.inbuf;
+      start := i + 1
+    end
   done;
-  Buffer.clear c.inbuf;
-  Buffer.add_substring c.inbuf data !pos (n - !pos);
+  Buffer.add_subbytes c.inbuf bytes !start (len - !start);
   if Buffer.length c.inbuf > max_frame then drop_client d c
 
 let read_client d c =
@@ -135,11 +138,28 @@ let read_client d c =
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
   | exception Unix.Unix_error (_, _, _) -> drop_client d c
 
+(* At most one socket buffer's worth is copied out of [out] per write,
+   so a slow reader costs time linear in what it is sent. The queue is
+   reset once drained, and compacted once the sent prefix outweighs the
+   unsent rest, so it holds at most about twice the backlog. *)
+let write_chunk = 65536
+
 let write_client d c =
-  let len = String.length c.out in
+  let len = min (pending c) write_chunk in
   if len > 0 then
-    match Unix.single_write_substring c.fd c.out 0 len with
-    | written -> c.out <- String.sub c.out written (len - written)
+    match Unix.single_write_substring c.fd (Buffer.sub c.out c.out_pos len) 0 len with
+    | written ->
+      c.out_pos <- c.out_pos + written;
+      if pending c = 0 then begin
+        Buffer.clear c.out;
+        c.out_pos <- 0
+      end
+      else if c.out_pos > pending c then begin
+        let rest = Buffer.sub c.out c.out_pos (pending c) in
+        Buffer.clear c.out;
+        Buffer.add_string c.out rest;
+        c.out_pos <- 0
+      end
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
     | exception Unix.Unix_error (_, _, _) -> drop_client d c
 
@@ -148,7 +168,14 @@ let accept_client d =
   | fd, _ ->
     Unix.set_nonblock fd;
     Hashtbl.replace d.clients fd
-      { fd; inbuf = Buffer.create 256; out = ""; subs = []; run_id = None }
+      {
+        fd;
+        inbuf = Buffer.create 256;
+        out = Buffer.create 256;
+        out_pos = 0;
+        subs = [];
+        run_id = None;
+      }
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
 
 (* Advance the shared cluster one slice and complete any run requests
@@ -182,7 +209,7 @@ let serve d =
     if !stop_signal then begin_shutdown d;
     let clients = Hashtbl.fold (fun _ c acc -> c :: acc) d.clients [] in
     let running = List.exists (fun c -> c.run_id <> None) clients in
-    if d.stopping && not (List.exists (fun c -> c.out <> "") clients) then
+    if d.stopping && not (List.exists (fun c -> pending c > 0) clients) then
       finished := true
     else begin
       let reads =
@@ -190,7 +217,7 @@ let serve d =
         @ List.map (fun c -> c.fd) clients
       in
       let writes =
-        List.filter_map (fun c -> if c.out <> "" then Some c.fd else None) clients
+        List.filter_map (fun c -> if pending c > 0 then Some c.fd else None) clients
       in
       let timeout = if running && not d.stopping then 0. else -1. in
       match Unix.select reads writes [] timeout with

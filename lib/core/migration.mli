@@ -96,7 +96,7 @@ val parse_transfer : Bytes.t -> (int * (int * int) list * Bytes.t, string) resul
     {!Pm2_net.Codec} V2 or V3 wire image, one reliable packet train.
     Inside the image, descriptors are varint-encoded and every slot ships
     as a page manifest plus only its non-zero pages — untouched and
-    all-zero pages are recreated by the destination's [mmap] zero-fill
+    all-zero pages are recreated by the destination's demand-zero [mmap]
     (zero-page elision), and because pages carry slot headers and block
     tags verbatim no free-list rebuild is needed on arrival.
 

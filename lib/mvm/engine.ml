@@ -32,11 +32,12 @@
    - [st] (and with it the page cache) is built fresh per [run] call:
      no munmap/scrub/epoch-advance can happen *within* a run (only guest
      instructions execute; syscalls end the run), so cached page buffers
-     are structurally valid for the whole slice, and migration /
-     checkpoint / restore paths between runs can never observe or keep a
-     stale page handle. Write-cache hits skip the dirty re-mark because
-     the miss already stamped the page with the current epoch and
-     epochs cannot advance mid-run. *)
+     stay mapped for the whole slice, and migration / checkpoint /
+     restore paths between runs can never observe or keep a stale page
+     handle. The one change a slice can make is a store materialising a
+     demand-zero page, which [sd] mirrors into the read cache. Write-cache
+     hits skip the dirty re-mark because the miss already stamped the
+     page with the current epoch and epochs cannot advance mid-run. *)
 
 module As = Pm2_vmem.Address_space
 module Layout = Pm2_vmem.Layout
@@ -127,7 +128,11 @@ let last_word_off = Layout.page_size - 8
 
 (* Same arithmetic as [As.load_word]/[store_word], with the page lookup
    cached in [st] instead of re-probed per access; words straddling a
-   page boundary (off > page_size-8) take the byte-wise slow path. *)
+   page boundary (off > page_size-8) take the byte-wise slow path.
+   The read cache may hold the shared zero page of a demand-zero page,
+   which a store replaces by a private copy: a write-cache miss that
+   materialises the read-cached page refreshes [rb], and a straddling
+   store (which may materialise either page) drops both caches. *)
 let[@inline] ld st a =
   let off = a land page_mask in
   if off <= last_word_off then begin
@@ -155,12 +160,17 @@ let[@inline] sd st a v =
         let b = As.page_for_write st.space a in
         st.wp <- p;
         st.wb <- b;
+        if p = st.rp then st.rb <- b;
         b
       end
     in
     Bytes.set_int64_le b off (Int64.of_int v)
   end
-  else As.store_word st.space a v
+  else begin
+    st.rp <- -1;
+    st.wp <- -1;
+    As.store_word st.space a v
+  end
 
 (* ===== layer 2: threaded dispatch, run-until-event ===== *)
 

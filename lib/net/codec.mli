@@ -6,7 +6,8 @@
     {e page manifest} plus the raw bytes of only the pages that hold
     data. Untouched and all-zero pages are {e described, not shipped}:
     the destination recreates them for free because
-    {!Pm2_vmem.Address_space.mmap} zero-fills (zero-page elision).
+    {!Pm2_vmem.Address_space.mmap} maps pages demand-zero (zero-page
+    elision).
 
     The v3 codec extends the manifest with a third page class, [Cached]:
     a page whose 62-bit content hash matches what the destination is

@@ -4,45 +4,52 @@ exception Segfault of { addr : addr; node : int; what : string }
 
 let word_size = 8
 
+(* Demand-zero paging: [mmap] records every page as [Zero], an alias of
+   the one shared, never-written [zero_page]; the first store to a page
+   materialises a private copy ([Data]). A thread's 64 KB stack slot
+   thus costs one table entry per page until the thread touches it. *)
+type page =
+  | Zero
+  | Data of {
+      bytes : Bytes.t;
+      mutable epoch : int;
+          (* access epoch of the last store — the access-heat telemetry
+             below *)
+      mutable hash : int;
+          (* memoized content hash for the v3 delta codec, [no_hash] when
+             absent *)
+    }
+
+let zero_page = Bytes.make Layout.page_size '\000'
+
+let no_hash = -1
+
 type t = {
   node : int;
-  pages : (int, Bytes.t) Hashtbl.t; (* page index -> page contents *)
+  pages : (int, page) Hashtbl.t; (* page index -> state; mapped iff bound *)
   mutable mmap_calls : int;
-  (* One-entry page cache: guest word/byte accesses show heavy page
+  (* One-entry read cache: guest word/byte accesses show heavy page
      locality (stack frames, header walks), so memoizing the last-touched
      page turns most accesses into a compare + array index instead of a
-     Hashtbl probe. [-1] = empty. Invalidated whenever a page is removed
-     ([munmap]/[scrub_range]); [mmap] never replaces an existing page so
-     it cannot stale the cache. *)
+     Hashtbl probe. [-1] = empty. [last_bytes] may be [zero_page]; the
+     store slow path re-points it when it materialises that page. *)
   mutable last_page : int;
   mutable last_bytes : Bytes.t;
-  (* Dirty-page tracking for the v2 migration codec: a page is dirty if
-     any store touched it since it was mapped. Clean pages are still
-     all-zero ([mmap] zero-fills), so the group-migration manifest can
-     elide them without reading their contents. [last_dirty] memoizes the
-     last page marked so the hot store path usually pays one int compare
-     instead of a Hashtbl write; it is invalidated (set to [-1]) whenever
-     a page is removed, since a fresh mapping of the same index must be
-     markable again. *)
-  dirty : (int, int) Hashtbl.t;
-      (* page index -> access epoch of the last store; presence alone means
-         "dirty since mapped" (what the v2 manifest needs), the stored epoch
-         feeds the access-heat telemetry below *)
+  (* One-entry write cache: [last_dirty] is a [Data] page already stamped
+     with the current epoch and stripped of its hash memo, so further
+     stores to it need no table access. Reset to [-1] whenever that could
+     stop holding: a page is removed, [advance_epoch] opens a window, or
+     [page_hash] memoizes a hash (the next store to any page then takes
+     the slow path, which drops the memo of the page it touches — a memo
+     that survives proves the page unchanged since it was hashed). *)
   mutable last_dirty : int;
+  mutable last_dirty_bytes : Bytes.t;
   (* Access epochs for placement telemetry: [advance_epoch] opens a new
      observation window, and [dirty_in_epoch] counts the pages of a range
      whose last store falls inside the current window — the "heat" the
      access-imbalance balancer feeds on. Epoch 0 is the whole pre-history,
      so heat reads 0 until a window has been opened. *)
   mutable epoch : int;
-  (* Content-hash memo for the v3 delta codec: page index -> 62-bit page
-     hash. An entry is valid only while no store has touched the page
-     since it was computed. Invalidation rides the existing dirty epoch:
-     [page_hash] resets [last_dirty] after memoizing, so the very next
-     store — to any page — takes [wpage]'s slow path, which removes the
-     memo entry of the page it touches. A page whose memo survives has
-     provably not been stored to since the hash was taken. *)
-  hash_memo : (int, int) Hashtbl.t;
 }
 
 let create ~node () =
@@ -52,10 +59,9 @@ let create ~node () =
     mmap_calls = 0;
     last_page = -1;
     last_bytes = Bytes.empty;
-    dirty = Hashtbl.create 1024;
     last_dirty = -1;
+    last_dirty_bytes = Bytes.empty;
     epoch = 0;
-    hash_memo = Hashtbl.create 64;
   }
 
 let node t = t.node
@@ -76,7 +82,7 @@ let mmap t ~addr ~size =
                      (Layout.addr_of_page p))
   done;
   for p = first to first + n - 1 do
-    Hashtbl.replace t.pages p (Bytes.make Layout.page_size '\000')
+    Hashtbl.add t.pages p Zero
   done;
   t.mmap_calls <- t.mmap_calls + 1
 
@@ -90,9 +96,7 @@ let munmap t ~addr ~size =
                      (Layout.addr_of_page p))
   done;
   for p = first to first + n - 1 do
-    Hashtbl.remove t.pages p;
-    Hashtbl.remove t.dirty p;
-    Hashtbl.remove t.hash_memo p
+    Hashtbl.remove t.pages p
   done;
   t.last_page <- -1;
   t.last_dirty <- -1
@@ -119,8 +123,6 @@ let scrub_range t ~addr ~size =
     for p = first to last do
       if Hashtbl.mem t.pages p then begin
         Hashtbl.remove t.pages p;
-        Hashtbl.remove t.dirty p;
-        Hashtbl.remove t.hash_memo p;
         incr n
       end
     done;
@@ -131,35 +133,62 @@ let scrub_range t ~addr ~size =
 
 let mapped_pages t = Hashtbl.length t.pages
 
+let resident_pages t =
+  Hashtbl.fold (fun _ pg n -> match pg with Data _ -> n + 1 | Zero -> n) t.pages 0
+
 let mmap_calls t = t.mmap_calls
 
 let page t what a =
   let p = Layout.page_of_addr a in
   if p = t.last_page then t.last_bytes
-  else
-    match Hashtbl.find_opt t.pages p with
-    | Some bytes ->
-      t.last_page <- p;
-      t.last_bytes <- bytes;
-      bytes
-    | None -> segv t a what
+  else begin
+    let bytes =
+      match Hashtbl.find_opt t.pages p with
+      | Some (Data d) -> d.bytes
+      | Some Zero -> zero_page
+      | None -> segv t a what
+    in
+    t.last_page <- p;
+    t.last_bytes <- bytes;
+    bytes
+  end
 
-(* The store-path twin of [page]: same lookup, plus the dirty mark. *)
+(* The store-path twin of [page]: one lookup that stamps the epoch, drops
+   the hash memo and materialises a [Zero] page. Both caches end up on
+   the returned buffer, so the read cache never keeps serving
+   [zero_page] for a page that now has a private copy. *)
 let wpage t what a =
   let p = Layout.page_of_addr a in
-  if p <> t.last_dirty then begin
-    Hashtbl.replace t.dirty p t.epoch;
-    Hashtbl.remove t.hash_memo p;
-    t.last_dirty <- p
-  end;
-  page t what a
+  if p = t.last_dirty then t.last_dirty_bytes
+  else begin
+    let bytes =
+      match Hashtbl.find_opt t.pages p with
+      | Some (Data d) ->
+        d.epoch <- t.epoch;
+        d.hash <- no_hash;
+        d.bytes
+      | Some Zero ->
+        let bytes = Bytes.make Layout.page_size '\000' in
+        Hashtbl.replace t.pages p (Data { bytes; epoch = t.epoch; hash = no_hash });
+        bytes
+      | None -> segv t a what
+    in
+    t.last_dirty <- p;
+    t.last_dirty_bytes <- bytes;
+    t.last_page <- p;
+    t.last_bytes <- bytes;
+    bytes
+  end
 
-let page_dirty t a = Hashtbl.mem t.dirty (Layout.page_of_addr a)
+let page_dirty t a =
+  match Hashtbl.find_opt t.pages (Layout.page_of_addr a) with
+  | Some (Data _) -> true
+  | Some Zero | None -> false
 
 let advance_epoch t =
   t.epoch <- t.epoch + 1;
-  (* The memo would let a store inside the new window keep the old
-     window's epoch stamp; force the slow path once per page. *)
+  (* The write cache would let a store inside the new window keep the
+     old window's epoch stamp; force the slow path once per page. *)
   t.last_dirty <- -1
 
 let epoch t = t.epoch
@@ -171,29 +200,29 @@ let dirty_in_epoch t ~addr ~size =
     let last = Layout.page_of_addr (addr + size - 1) in
     let n = ref 0 in
     for p = first to last do
-      match Hashtbl.find_opt t.dirty p with
-      | Some e when e = t.epoch && t.epoch > 0 -> incr n
+      match Hashtbl.find_opt t.pages p with
+      | Some (Data d) when d.epoch = t.epoch && t.epoch > 0 -> incr n
       | _ -> ()
     done;
     !n
   end
 
+let find_mapped t what a =
+  match Hashtbl.find_opt t.pages (Layout.page_of_addr a) with
+  | Some pg -> pg
+  | None -> segv t a what
+
 let page_is_zero t a =
-  let p = Layout.page_of_addr a in
-  if not (Hashtbl.mem t.dirty p) then begin
-    (* Never stored to since mapping: still the zero fill from [mmap].
-       Probe the mapping so an unmapped page faults like any access. *)
-    ignore (page t "is_zero" a);
-    true
-  end
-  else begin
-    let bytes = page t "is_zero" a in
+  match find_mapped t "is_zero" a with
+  | Zero -> true
+  | Data { bytes; _ } ->
+    (* A store of zeros still reads as zero: the manifest stays
+       content-accurate, not merely history-accurate. *)
     let words = Layout.page_size / 8 in
     let rec scan i =
       i >= words || (Bytes.get_int64_le bytes (i * 8) = 0L && scan (i + 1))
     in
     scan 0
-  end
 
 (* Splitmix64 finalizer: FNV-1a alone mixes low bits poorly for 8-byte
    word input; the finalizer spreads every input bit over the whole
@@ -215,26 +244,29 @@ let page_bytes_hash bytes =
   done;
   Int64.to_int (Int64.logand (splitmix_mix !h) 0x3FFFFFFFFFFFFFFFL)
 
+let zero_hash = page_bytes_hash zero_page
+
 let page_hash t a =
-  let p = Layout.page_of_addr a in
-  match Hashtbl.find_opt t.hash_memo p with
-  | Some h -> h
-  | None ->
-    let h = page_bytes_hash (page t "page_hash" a) in
-    Hashtbl.replace t.hash_memo p h;
-    (* Force the next store onto [wpage]'s slow path, which removes the
-       memo entry of whichever page it hits (see the field comment). *)
-    t.last_dirty <- -1;
-    h
+  match find_mapped t "page_hash" a with
+  | Zero -> zero_hash
+  | Data d ->
+    if d.hash = no_hash then begin
+      d.hash <- page_bytes_hash d.bytes;
+      (* Force the next store onto [wpage]'s slow path, which drops the
+         memo of whichever page it hits (see [last_dirty]). *)
+      t.last_dirty <- -1
+    end;
+    d.hash
 
 (* Raw page handles for the MVM execution engine's inlined load/store
    fast path. [page_for_read]/[page_for_write] are exactly the internal
-   [page]/[wpage] lookups (including the dirty mark on the write side);
-   the returned buffer aliases the live page and is valid only until the
-   next [munmap]/[scrub_range], so callers must drop their handle at
-   every point such a call could run (the engine keeps them only within
-   one uninterrupted run-until-event slice, where the guest cannot
-   unmap). *)
+   [page]/[wpage] lookups (including the dirty mark on the write side).
+   The read handle may be the shared [zero_page], so it must never be
+   written through, and it goes stale once a store materialises its
+   page. Both handles alias the live page only until the next
+   [munmap]/[scrub_range], so callers must drop them at every point such
+   a call could run (the engine keeps them only within one uninterrupted
+   run-until-event slice, where the guest cannot unmap). *)
 let page_for_read t a = page t "load" a
 
 let page_for_write t a = wpage t "store" a

@@ -1,10 +1,13 @@
 (** A simulated per-node virtual address space.
 
-    Pages are materialised lazily: [mmap] declares a range mapped (and
-    zero-filled), [munmap] unmaps it, and any access to an unmapped address
-    raises {!Segfault} — exactly the failure mode of the paper's Figs. 2, 4
-    and 9 when a migrated thread dereferences a pointer whose target did not
-    follow it.
+    Pages are demand-zero: [mmap] declares a range mapped and reading as
+    zero, but backs every page of it with one shared, never-written zero
+    page; the first store to a page materialises a private copy. A
+    thread's 64 KB iso-address slot therefore costs host memory only for
+    the pages it touches. [munmap] unmaps a range, and any access to an
+    unmapped address raises {!Segfault} — exactly the failure mode of the
+    paper's Figs. 2, 4 and 9 when a migrated thread dereferences a pointer
+    whose target did not follow it.
 
     All multi-byte accessors are little-endian. Words are 8 bytes: the
     MiniVM is a 64-bit machine, and all isomalloc headers are stored as
@@ -29,7 +32,8 @@ val node : t -> int
 
 (** {1 Mapping} *)
 
-(** [mmap t ~addr ~size] maps (and zero-fills) the page-aligned range.
+(** [mmap t ~addr ~size] maps the page-aligned range demand-zero: every
+    page reads as zero and holds no host memory until its first store.
     @raise Invalid_argument if the range is not page aligned or any page in
     it is already mapped (MAP_FIXED without overwrite — the iso-address
     discipline must guarantee this never happens across nodes). *)
@@ -57,7 +61,13 @@ val range_unmapped : t -> addr:addr -> size:int -> bool
 val scrub_range : t -> addr:addr -> size:int -> int
 
 val mapped_pages : t -> int
-(** Resident page count. *)
+(** Mapped page count, demand-zero pages included (what the cost model
+    and [vmem.mapped_pages] count). *)
+
+val resident_pages : t -> int
+(** Materialised page count: mapped pages that some store has given a
+    private copy. Never more than {!mapped_pages}. Walks the page table,
+    so it is for reports and tests, not hot paths. *)
 
 val mmap_calls : t -> int
 (** Number of [mmap] invocations so far (feeds the cost model). *)
@@ -65,13 +75,15 @@ val mmap_calls : t -> int
 (** {1 Dirty / zero-page tracking}
 
     The v2 migration codec ({!Pm2_net.Codec}-style group transfers) ships
-    only pages that actually hold data and {e describes} the rest: since
-    {!mmap} zero-fills, an untouched page is all-zero by construction and
-    can be recreated at the destination by mapping alone. *)
+    only pages that actually hold data and {e describes} the rest. A page
+    no store has touched is still demand-zero, so it is all-zero by
+    construction and can be recreated at the destination by mapping
+    alone. *)
 
 val page_dirty : t -> addr -> bool
-(** [page_dirty t a] is [true] iff some store touched the page containing
-    [a] since it was mapped. Cheap (hash probe); never faults. *)
+(** [page_dirty t a] is [true] iff the page containing [a] is
+    materialised, i.e. some store touched it since it was mapped. Cheap
+    (one table probe); never faults. *)
 
 (** {2 Access epochs}
 
@@ -79,8 +91,8 @@ val page_dirty : t -> addr -> bool
     and {!dirty_in_epoch} counts the pages of a range last stored to
     inside the current window. The balancer derives per-thread "heat"
     from these counts — no extra bookkeeping rides the store fast path,
-    the epoch stamp reuses the dirty-page table the v2 codec already
-    maintains. *)
+    the epoch stamp lives in the page table entry a store materialises
+    anyway. *)
 
 val advance_epoch : t -> unit
 (** Open a new observation window. Stores from now on stamp the new
@@ -97,7 +109,7 @@ val dirty_in_epoch : t -> addr:addr -> size:int -> int
 
 val page_is_zero : t -> addr -> bool
 (** [page_is_zero t a] is [true] iff the mapped page containing [a] is
-    currently all-zero. Clean pages answer without reading memory; dirty
+    currently all-zero. Demand-zero pages answer in O(1); materialised
     pages are scanned word-wise (a store of zeros is re-detected as zero,
     so the manifest stays content-accurate, not merely
     history-accurate). @raise Segfault if the page is unmapped. *)
@@ -106,13 +118,15 @@ val page_is_zero : t -> addr -> bool
 
     The v3 delta codec classifies pages by a 62-bit content hash
     (FNV-1a 64 over the page's 8-byte words, splitmix-mixed, folded to a
-    non-negative OCaml int). Hashes are memoized per page and the memo is
-    invalidated through the dirty-epoch store path, so re-hashing an
-    untouched page is a hash-table probe, never a page scan. *)
+    non-negative OCaml int). A demand-zero page answers one precomputed
+    constant; a materialised page's hash is memoized in its page table
+    entry and dropped by the next store to it, so re-hashing an untouched
+    page is a table probe, never a page scan. *)
 
 val page_hash : t -> addr -> int
 (** [page_hash t a] is the content hash of the mapped page containing
-    [a]; memoized until the next store to that page.
+    [a]; memoized until the next store to that page. Equal to
+    [page_bytes_hash (Bytes.make 4096 '\000')] for a demand-zero page.
     @raise Segfault if the page is unmapped. *)
 
 val page_bytes_hash : Bytes.t -> int
@@ -125,13 +139,18 @@ val page_bytes_hash : Bytes.t -> int
 
 (** [page_for_read t a] is the live page buffer containing [a] — the
     building block of the MVM engine's inlined word-access fast path.
-    The handle aliases the mapped page and stays valid only until the
-    next {!munmap}/{!scrub_range}; callers must re-fetch it at any point
-    such a call could run. @raise Segfault if the page is unmapped. *)
+    For a demand-zero page it is the shared zero page: it must never be
+    written through, and it goes stale as soon as a store (through
+    {!page_for_write} or any store function) materialises that page, so a
+    caller caching it must refresh or drop it then. Any handle stays
+    valid only until the next {!munmap}/{!scrub_range}; callers must
+    re-fetch it at any point such a call could run.
+    @raise Segfault if the page is unmapped. *)
 val page_for_read : t -> addr -> Bytes.t
 
-(** [page_for_write t a] is {!page_for_read} plus the dirty-page mark of
-    a store ({!page_dirty}, access epochs, hash-memo invalidation) — use
+(** [page_for_write t a] is the page's private buffer, materialised
+    first if the page is demand-zero, with the bookkeeping of a store
+    applied ({!page_dirty}, access epochs, hash-memo invalidation) — use
     it before writing into the returned buffer. Subsequent direct writes
     to the same page within one uninterrupted slice need no re-mark: the
     page is already stamped with the current epoch.

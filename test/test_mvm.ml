@@ -599,6 +599,46 @@ let test_edge_code_end_fallthrough () =
   let program = raw [| Isa.Imm (0, 1); Isa.Addi (0, 0, 2); Isa.Nop |] in
   check_differential "fall off code end" program
 
+(* Demand-zero pages: the read cache may hold the shared zero page of a
+   fresh page, which a store replaces by a private copy. A later load
+   must see the store, whether it went through the write cache or
+   through the byte-wise straddling path. *)
+let test_edge_demand_zero_caches () =
+  let store_then_load =
+    let b = create () in
+    proc b "main" (fun b ->
+        imm b r8 scratch_base;
+        load b r0 r8 64;
+        imm b r1 99;
+        store b r1 r8 64;
+        load b r0 r8 64;
+        halt b);
+    assemble b
+  in
+  let straddle =
+    let b = create () in
+    proc b "main" (fun b ->
+        imm b r8 (scratch_base + (2 * Layout.page_size));
+        load b r2 r8 (-8);
+        load b r3 r8 0;
+        imm b r1 0x1122334455667788;
+        store b r1 r8 (-4);
+        load b r4 r8 0;
+        load b r5 r8 (-8);
+        load b r6 r8 (-4);
+        halt b);
+    assemble b
+  in
+  check_differential "load/store/load on a fresh page" store_then_load;
+  check_differential "straddling store over two fresh pages" straddle;
+  (* ... and the oracle itself reads back what was stored. *)
+  let s = drive Engine.Step store_then_load [| 1 |] in
+  Alcotest.(check int) "load sees the store" 99 s.s_regs.(0);
+  let s = drive Engine.Step straddle [| 1 |] in
+  Alcotest.(check int) "high half" 0x11223344 s.s_regs.(4);
+  Alcotest.(check int) "low half" (0x55667788 lsl 32) s.s_regs.(5);
+  Alcotest.(check int) "whole word" 0x1122334455667788 s.s_regs.(6)
+
 let test_fault_pc_reporting () =
   (* Satellite fix: ctx.pc must point AT the faulting instruction, not
      one past it — for the oracle and both fast engines. *)
@@ -652,6 +692,8 @@ let tests =
     Alcotest.test_case "engines: faulting terminator" `Quick test_edge_fault_terminator;
     Alcotest.test_case "engines: syscall branch target" `Quick test_edge_syscall_branch_target;
     Alcotest.test_case "engines: code-end fallthrough" `Quick test_edge_code_end_fallthrough;
+    Alcotest.test_case "engines: demand-zero page caches" `Quick
+      test_edge_demand_zero_caches;
     Alcotest.test_case "engines: fault pc reporting" `Quick test_fault_pc_reporting;
     Alcotest.test_case "decode: register validation" `Quick test_decode_rejects_bad_reg;
   ]

@@ -143,6 +143,120 @@ let test_blit_across_spaces () =
   As.blit ~src:a ~src_addr:0x10000 ~dst:b ~dst_addr:0x10000 ~size:4096;
   Alcotest.(check int) "iso-address blit" 777 (As.load_word b 0x10010)
 
+(* -- demand-zero pages -- *)
+
+let slot = 64 * 1024
+
+let test_mmap_is_demand_zero () =
+  let sp = space () in
+  for i = 0 to 63 do
+    As.mmap sp ~addr:(Layout.iso_base + (i * slot)) ~size:slot
+  done;
+  Alcotest.(check int) "every page mapped" (64 * 16) (As.mapped_pages sp);
+  Alcotest.(check int) "no page resident" 0 (As.resident_pages sp)
+
+let test_loads_materialise_nothing () =
+  let sp = space () in
+  As.mmap sp ~addr:0x10000 ~size:slot;
+  let sum = ref 0 in
+  for w = 0 to (slot / 8) - 1 do
+    sum := !sum lor As.load_word sp (0x10000 + (w * 8))
+  done;
+  Alcotest.(check int) "reads zero" 0 !sum;
+  Alcotest.(check int) "cross-page word reads zero" 0 (As.load_word sp 0x10ffc);
+  Alcotest.(check bytes) "bulk read is zero" (Bytes.make 9000 '\000')
+    (As.load_bytes sp 0x10100 9000);
+  Alcotest.(check bool) "page reads zero" true (As.page_is_zero sp 0x13000);
+  Alcotest.(check bool) "page clean" false (As.page_dirty sp 0x13000);
+  Alcotest.(check int) "still nothing resident" 0 (As.resident_pages sp)
+
+let test_first_store_materialises_one_page () =
+  let sp = space () in
+  As.mmap sp ~addr:0x10000 ~size:slot;
+  ignore (As.load_word sp 0x12008);
+  As.store_word sp 0x12008 42;
+  Alcotest.(check int) "one page resident" 1 (As.resident_pages sp);
+  Alcotest.(check int) "read after store" 42 (As.load_word sp 0x12008);
+  Alcotest.(check bool) "stored page dirty" true (As.page_dirty sp 0x12000);
+  Alcotest.(check bool) "neighbour clean" false (As.page_dirty sp 0x13000);
+  As.store_word sp 0x12010 43;
+  Alcotest.(check int) "second store, same page" 1 (As.resident_pages sp);
+  As.store_word sp 0x13ffc 7;
+  Alcotest.(check int) "straddling store materialises both" 3 (As.resident_pages sp);
+  Alcotest.(check int) "mapped count unchanged" 16 (As.mapped_pages sp)
+
+let test_shared_zero_page_never_written () =
+  let sp = space () in
+  As.mmap sp ~addr:0x10000 ~size:slot;
+  As.fill sp ~addr:0x10000 ~size:slot 0xff;
+  As.store_bytes sp 0x10000 (Bytes.make 100 'x');
+  let other = As.create ~node:1 () in
+  As.mmap sp ~addr:0x40000 ~size:slot;
+  As.mmap other ~addr:0x10000 ~size:slot;
+  let zero = Bytes.make slot '\000' in
+  Alcotest.(check bytes) "fresh mapping, same space" zero (As.load_bytes sp 0x40000 slot);
+  Alcotest.(check bytes) "fresh mapping, other space" zero
+    (As.load_bytes other 0x10000 slot);
+  Alcotest.(check bytes) "read handle is zero" (Bytes.make Layout.page_size '\000')
+    (As.page_for_read other 0x10000)
+
+let test_clean_page_hash () =
+  let sp = space () in
+  As.mmap sp ~addr:0x10000 ~size:8192;
+  let zero_hash = As.page_bytes_hash (Bytes.make 4096 '\000') in
+  Alcotest.(check int) "clean page hash" zero_hash (As.page_hash sp 0x10000);
+  As.store_word sp 0x11008 5;
+  As.store_word sp 0x11008 0;
+  Alcotest.(check int) "zeroed data page hash" zero_hash (As.page_hash sp 0x11000);
+  Alcotest.(check int) "hashing materialises nothing" 1 (As.resident_pages sp)
+
+let test_zero_store_stays_zero () =
+  let sp = space () in
+  As.mmap sp ~addr:0x10000 ~size:4096;
+  As.store_word sp 0x10010 0;
+  As.fill sp ~addr:0x10100 ~size:64 0;
+  Alcotest.(check bool) "materialised" true (As.page_dirty sp 0x10000);
+  Alcotest.(check bool) "still reads as zero" true (As.page_is_zero sp 0x10000);
+  As.store_u8 sp 0x10fff 1;
+  Alcotest.(check bool) "one byte breaks it" false (As.page_is_zero sp 0x10000)
+
+let test_remap_reads_zero () =
+  let sp = space () in
+  As.mmap sp ~addr:0x10000 ~size:8192;
+  As.fill sp ~addr:0x10000 ~size:8192 0x5a;
+  ignore (As.load_word sp 0x10000);
+  As.munmap sp ~addr:0x10000 ~size:8192;
+  Alcotest.(check int) "munmap releases resident pages" 0 (As.resident_pages sp);
+  As.mmap sp ~addr:0x10000 ~size:8192;
+  Alcotest.(check int) "reads zero, not the cached old page" 0 (As.load_word sp 0x10000);
+  Alcotest.(check int) "second page reads zero" 0 (As.load_word sp 0x11ff8);
+  Alcotest.(check bool) "clean again" false (As.page_dirty sp 0x10000);
+  As.store_word sp 0x10000 1;
+  Alcotest.(check int) "scrub counts mapped pages" 2
+    (As.scrub_range sp ~addr:0x10000 ~size:8192);
+  Alcotest.(check int) "scrub releases resident pages" 0 (As.resident_pages sp)
+
+let test_epoch_heat () =
+  let sp = space () in
+  As.mmap sp ~addr:0x10000 ~size:slot;
+  As.store_word sp 0x10000 1;
+  Alcotest.(check int) "pre-history reads 0" 0 (As.dirty_in_epoch sp ~addr:0x10000 ~size:slot);
+  As.advance_epoch sp;
+  Alcotest.(check int) "new window starts cold" 0
+    (As.dirty_in_epoch sp ~addr:0x10000 ~size:slot);
+  As.store_word sp 0x10000 2;
+  As.store_word sp 0x10008 3;
+  As.store_word sp 0x12000 4;
+  ignore (As.load_word sp 0x13000);
+  Alcotest.(check int) "two pages stored this window" 2
+    (As.dirty_in_epoch sp ~addr:0x10000 ~size:slot);
+  As.advance_epoch sp;
+  As.store_word sp 0x12000 5;
+  Alcotest.(check int) "only the page stored again" 1
+    (As.dirty_in_epoch sp ~addr:0x10000 ~size:slot);
+  Alcotest.(check int) "unmapped range counts 0" 0
+    (As.dirty_in_epoch sp ~addr:0x90000 ~size:slot)
+
 let prop_word_roundtrip =
   QCheck2.Test.make ~name:"store_word/load_word roundtrips at any aligned offset"
     QCheck2.Gen.(pair (int_range 0 4088) int)
@@ -171,5 +285,18 @@ let tests =
     Alcotest.test_case "cstring loading" `Quick test_cstring;
     Alcotest.test_case "fill and copy_within" `Quick test_fill_and_copy;
     Alcotest.test_case "blit across spaces" `Quick test_blit_across_spaces;
+    Alcotest.test_case "demand-zero: mmap leaves nothing resident" `Quick
+      test_mmap_is_demand_zero;
+    Alcotest.test_case "demand-zero: loads materialise nothing" `Quick
+      test_loads_materialise_nothing;
+    Alcotest.test_case "demand-zero: first store materialises a page" `Quick
+      test_first_store_materialises_one_page;
+    Alcotest.test_case "demand-zero: shared zero page never written" `Quick
+      test_shared_zero_page_never_written;
+    Alcotest.test_case "demand-zero: clean page hash" `Quick test_clean_page_hash;
+    Alcotest.test_case "demand-zero: storing zeros stays zero" `Quick
+      test_zero_store_stays_zero;
+    Alcotest.test_case "demand-zero: remap reads zero" `Quick test_remap_reads_zero;
+    Alcotest.test_case "demand-zero: epoch heat" `Quick test_epoch_heat;
     QCheck_alcotest.to_alcotest prop_word_roundtrip;
   ]
