@@ -6,9 +6,13 @@
      model (the paper-geometry 57 344-bit slot bitmap, worst-case
      patterns);
    - F11a: the sub-slot isomalloc fast path vs the malloc baseline;
-   - F11b: multi-slot isomalloc (negotiation + merged slot) vs malloc;
-   - T1:  a full pack/transfer/unpack migration round trip;
-   - T2:  one negotiation protocol execution.
+   - F11b: multi-slot isomalloc (negotiation + merged slot) vs malloc.
+
+   Host migration and negotiation costs are not fitted here: their fits
+   read r^2 from 0.07 to 0.99 between identical runs on a 2-core host,
+   which is noise. perfbench/ measures both over calibrated episodes
+   (hop_plain, hop_lossy_delta and the per-layer host.negotiation
+   split).
 
    These complement the virtual-time figures: virtual time tells you what
    the modelled 1999 cluster would measure; these tell you what the OCaml
@@ -103,21 +107,6 @@ let test_f11b_malloc () =
          let a = Pm2_heap.Malloc.malloc_exn heap (1024 * 1024) in
          Pm2_heap.Malloc.free_exn heap a))
 
-let test_t1_migration () =
-  let c = Harness.cluster () in
-  let th = Cluster.host_thread c ~node:0 in
-  let dest = ref 1 in
-  Test.make ~name:"T1: null-thread migration (one way)"
-    (Staged.stage (fun () ->
-         Cluster.host_migrate c th ~dest:!dest;
-         dest := 1 - !dest))
-
-let test_t2_negotiation () =
-  let c = Harness.cluster ~nodes:4 () in
-  let neg = Cluster.negotiation c in
-  Test.make ~name:"T2: negotiation protocol (4 nodes)"
-    (Staged.stage (fun () -> ignore (Negotiation.execute neg ~requester:0 ~n:4)))
-
 (* Run [tests] under bechamel and return [(name, ns_per_op, r2)] rows,
    sorted by name. *)
 let measure ~quota tests =
@@ -192,8 +181,6 @@ let full_tests () =
     test_f11a_isomalloc ();
     test_f11b_malloc ();
     test_f11b_isomalloc ();
-    test_t1_migration ();
-    test_t2_negotiation ();
   ]
 
 let run_suite () =

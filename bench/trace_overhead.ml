@@ -11,9 +11,9 @@
        experiment is the regression net for that claim.
 
    (2) Tracing ON is cheap — bounded host-time overhead: the same
-       workload with tracing enabled (spans emitted, chrome exporter
+       work with tracing enabled (spans emitted, chrome exporter
        attached) must stay within 5% of the untraced host wall-clock
-       (min over repetitions, which removes scheduler noise).
+       (median over back-to-back pairs, see [host_times]).
 
    (3) The telemetry earns its keep: on a skewed-access workload —
        run-queue lengths perfectly balanced, write bandwidth all on one
@@ -87,14 +87,16 @@ type outcome = {
   mean_heat_imbalance : float;
   hot_moved : int; (* hot writers that ended off their spawn node *)
   migrations : int;
+  schedule : (float * int * int) list; (* (freeze time, tid, destination) *)
   spans : int;
 }
 
 (* One run of the skewed workload: hot writers on node 0, cold ones on
    node 1. A phase-shifted sampler refreshes the heat feed between
    balancer rounds and records the node-heat spread — the same sampler
-   in every run, so the comparison only varies the policy. *)
-let run_workload ?policy ?(tracing = false) ?(sinks = []) () =
+   in every run, so the comparison only varies the policy. [replay]
+   requests the given migrations at the given virtual times instead. *)
+let run_workload ?policy ?(replay = []) ?(tracing = false) ?(sinks = []) () =
   let config =
     Pm2.Config.make ~nodes:2 ~delta_cache_bytes:delta_budget ~tracing ()
   in
@@ -115,6 +117,11 @@ let run_workload ?policy ?(tracing = false) ?(sinks = []) () =
   (match policy with
    | Some policy -> ignore (Balancer.attach c ~policy ~period)
    | None -> ());
+  List.iter
+    (fun (at, tid, dest) ->
+      Engine.schedule (Cluster.engine c) ~at (fun () ->
+          Cluster.request_migration c (Cluster.thread c tid) ~dest))
+    replay;
   let samples = ref [] in
   let engine = Cluster.engine c in
   let rec sample () =
@@ -139,33 +146,62 @@ let run_workload ?policy ?(tracing = false) ?(sinks = []) () =
     hot_moved =
       List.length (List.filter (fun (th : Thread.t) -> th.Thread.node <> 0) hot);
     migrations = List.length (Cluster.migrations c);
+    schedule =
+      List.map
+        (fun (m : Cluster.migration_record) -> (m.started, m.tid, m.dst))
+        (Cluster.migrations c);
     spans = !spans;
   }
 
-(* Host wall-clock, tracing off vs on, min-of-[reps] each. The two
-   variants are interleaved rep-by-rep so slow drift in host speed
-   (frequency scaling, noisy neighbours) hits both equally instead of
-   masquerading as tracing overhead; min is the noise-robust estimator
-   (a run can only be slowed down by the host). Which variant goes first
-   alternates per rep, and every timed run starts from a fully collected
-   heap, so neither variant pays for the garbage the other left behind. *)
-let host_times ?policy ~reps () =
-  let best_off = ref infinity and best_on = ref infinity in
-  let timed best f =
+(* Host wall-clock, tracing off vs on, over [reps] back-to-back pairs.
+   Both variants replay one fixed migration schedule: left to the
+   balancer, the traced run's extra wire words shift virtual time and it
+   migrates once more than the untraced run, so the pair would not
+   compare equal work. Which variant goes first alternates per pair, and
+   every timed run starts from a fully collected heap, so neither variant
+   pays for the garbage the other left behind. The overhead is the median
+   of the per-pair ratios: on a shared host, rare fast windows land on
+   one variant's run and not the other's, so the min of each variant
+   swings by more than the bar between identical runs, while a pair's two
+   runs share the host's state of the moment. *)
+let host_times ~replay ~reps () =
+  let time f =
     Gc.full_major ();
     let t0 = Unix.gettimeofday () in
-    ignore (f ());
-    best := Float.min !best (Unix.gettimeofday () -. t0)
+    let r = f () in
+    (Unix.gettimeofday () -. t0, r.migrations)
   in
-  let off () = timed best_off (fun () -> run_workload ?policy ~tracing:false ()) in
+  let off () = time (fun () -> run_workload ~replay ~tracing:false ()) in
   let on () =
     let sinks = [ Obs.Chrome.sink (Obs.Chrome.create ()) ] in
-    timed best_on (fun () -> run_workload ?policy ~tracing:true ~sinks ())
+    time (fun () -> run_workload ~replay ~tracing:true ~sinks ())
   in
-  for rep = 1 to reps do
-    if rep mod 2 = 0 then (off (); on ()) else (on (); off ())
-  done;
-  (!best_off, !best_on)
+  let pairs =
+    List.init reps (fun rep ->
+        let (t_off, m_off), (t_on, m_on) =
+          if rep mod 2 = 0 then
+            let o = off () in
+            (o, on ())
+          else
+            let o = on () in
+            (off (), o)
+        in
+        if m_off <> m_on then
+          failwith
+            (Printf.sprintf "trace_overhead: replayed schedule diverged (%d vs %d migrations)"
+               m_off m_on);
+        (t_off, t_on, m_off))
+  in
+  let median l =
+    let a = Array.of_list l in
+    Array.sort compare a;
+    a.(Array.length a / 2)
+  in
+  let _, _, migrations = List.hd pairs in
+  ( median (List.map (fun (t, _, _) -> t) pairs),
+    median (List.map (fun (_, t, _) -> t) pairs),
+    median (List.map (fun (off, on, _) -> (on -. off) /. off) pairs),
+    migrations )
 
 let balanced_policy = Balancer.Access_imbalance { ratio = 2.; min_pages = 4 }
 
@@ -217,18 +253,20 @@ let run () =
     traced.spans (traced.wire_bytes - plain.wire_bytes);
   if traced.spans = 0 then failwith "trace_overhead: tracing-on run emitted no spans";
   if plain.spans <> 0 then failwith "trace_overhead: tracing-off run emitted spans";
-  (* (2) host-time overhead, min over repetitions. *)
+  (* (2) host-time overhead: the untraced run's migrations, replayed in
+     both variants. *)
   let reps = 21 in
-  let off, on = host_times ~policy:balanced_policy ~reps () in
-  let overhead = (on -. off) /. off in
-  Harness.note "host time (min of %d): %.2f ms off, %.2f ms on -> %+.1f%% overhead" reps
-    (off *. 1000.) (on *. 1000.) (overhead *. 100.);
+  let off, on, overhead, migrations = host_times ~replay:plain.schedule ~reps () in
+  Harness.note
+    "host time (median of %d pairs, %d migrations each): %.2f ms off, %.2f ms on -> %+.1f%% overhead"
+    reps migrations (off *. 1000.) (on *. 1000.) (overhead *. 100.);
   Report.record ~suite:"trace-overhead" ~name:"host-overhead"
     ~params:[ ("reps", string_of_int reps) ]
     [
       ("host_off_s", off);
       ("host_on_s", on);
       ("overhead_frac", overhead);
+      ("migrations", float_of_int migrations);
       ("spans", float_of_int traced.spans);
     ];
   if overhead >= 0.05 then

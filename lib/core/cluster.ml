@@ -1457,7 +1457,7 @@ and group_rollback_apply t ~gid ~src ~dest ~buffer ~slots ~span members ~reason 
       ~restore:(fun ~tid ~addr ~hash ->
         match Delta_cache.lookup_page scache ~tid ~addr with
         | Some page when As.page_bytes_hash page = hash ->
-          As.store_bytes node.Node.space addr page;
+          As.install_page node.Node.space addr page ~hash;
           true
         | _ -> false)
       ~lookup:(fun tid -> Hashtbl.find t.threads tid)
@@ -1482,7 +1482,8 @@ and group_rollback_apply t ~gid ~src ~dest ~buffer ~slots ~span members ~reason 
   Obs.Span.finish t.tracer ~at:(Engine.now t.engine) ~note:reason rb_span;
   group_abort t ~gid ~src ~dest ~span members ~reason
 
-and group_deliver t ~gid ~src ~dest ~started ~ranges ~slots ~pages ~span members buffer =
+and group_deliver t ~gid ~src ~dest ~started ~ranges ~slots ~pages ~span members ~buffer
+    image =
   if group_interrupted t members then begin
     (* Crash mid-migration: the source died while the train was in
        flight. Committing the late image would race the checkpoint
@@ -1497,28 +1498,36 @@ and group_deliver t ~gid ~src ~dest ~started ~ranges ~slots ~pages ~span members
     Obs.Span.finish t.tracer ~at:(Engine.now t.engine)
       ~note:"abandoned: source crashed mid-flight" span
   end
-  else group_deliver_commit t ~gid ~src ~dest ~started ~ranges ~slots ~pages ~span members buffer
+  else
+    group_deliver_commit t ~gid ~src ~dest ~started ~ranges ~slots ~pages ~span members
+      ~buffer image
 
-and group_deliver_commit t ~gid ~src ~dest ~started ~ranges ~slots ~pages ~span members buffer =
+(* [image] is the received group image, a view into the train payload;
+   [buffer] is the source's own copy of it (the checksum proved them
+   equal), which a rollback unpacks on the source. *)
+and group_deliver_commit t ~gid ~src ~dest ~started ~ranges ~slots ~pages ~span members
+    ~buffer image =
   let dnode = t.nodes.(dest) in
   let arrived = Engine.now t.engine in
   let before = dnode.Node.charged in
   let dcache = t.delta.(dest) in
   (* Restore a [Cached] page from this node's residual image, validating
      content: a stale or corrupted copy fails the hash check and is
-     reported as missing rather than silently kept. *)
+     reported as missing rather than silently kept. A page that passes is
+     installed as a fresh copy with the checked hash memoized. *)
   let restore ~tid ~addr ~hash =
     match Delta_cache.lookup_page dcache ~tid ~addr with
     | Some page when As.page_bytes_hash page = hash ->
-      As.store_bytes dnode.Node.space addr page;
+      As.install_page dnode.Node.space addr page ~hash;
       true
     | _ -> false
   in
+  let data, pos, len = image in
   match
-    Migration.unpack_group ~obs:t.obs ~node:dest ~restore ~cost:t.config.cost
+    Migration.unpack_group ~obs:t.obs ~node:dest ~restore ~pos ~len ~cost:t.config.cost
       ~space:dnode.Node.space
       ~lookup:(fun tid -> Hashtbl.find t.threads tid)
-      buffer
+      data
   with
   | exception (Invalid_argument _ | Failure _ | Not_found | As.Segfault _) ->
     (* The destination could not apply the image (a collision appeared
@@ -1553,22 +1562,22 @@ and group_deliver_commit t ~gid ~src ~dest ~started ~ranges ~slots ~pages ~span 
          fresh knowledge of what the source now retains; the source's
          pinned images become evictable migrate-out residuals. *)
       if delta_enabled t then begin
+        (* The image already classified every page: [Cached] ones carry
+           their verified hash, and only pages shipped verbatim are hashed
+           here (memoized, so the next hop out re-uses it). *)
         List.iter
-          (fun (tid, slot_ranges) ->
+          (fun (tid, pages) ->
             Delta_cache.drop_image dcache ~tid;
             let hashes =
-              List.concat_map
-                (fun (addr, size) ->
-                  List.filter_map
-                    (fun i ->
-                      let a = addr + (i * Layout.page_size) in
-                      if As.page_is_zero dnode.Node.space a then None
-                      else Some (a, As.page_hash dnode.Node.space a))
-                    (List.init (size / Layout.page_size) Fun.id))
-                slot_ranges
+              List.map
+                (fun (a, h) ->
+                  match h with
+                  | Some h -> (a, h)
+                  | None -> (a, As.page_hash dnode.Node.space a))
+                pages
             in
             Delta_cache.record_knowledge dcache ~tid ~peer:src hashes)
-          u.Migration.u_ranges;
+          u.Migration.u_pages;
         List.iter
           (fun ((th : Thread.t), _) -> Delta_cache.unpin t.delta.(src) ~tid:th.Thread.id)
           members
@@ -1658,7 +1667,7 @@ and group_deliver_commit t ~gid ~src ~dest ~started ~ranges ~slots ~pages ~span 
                List.filter_map
                  (fun (tid, addr, _hash) ->
                    Option.map
-                     (fun page -> (tid, addr, Bytes.copy page))
+                     (fun page -> (tid, addr, page))
                      (Delta_cache.lookup_page scache ~tid ~addr))
                  pages
              in
@@ -1676,7 +1685,7 @@ and group_deliver_commit t ~gid ~src ~dest ~started ~ranges ~slots ~pages ~span 
                          (fun (tid, addr, page) ->
                            match Hashtbl.find_opt expected (tid, addr) with
                            | Some h when As.page_bytes_hash page = h ->
-                             As.store_bytes dnode.Node.space addr page;
+                             As.install_page dnode.Node.space addr page ~hash:h;
                              true
                            | _ -> false)
                          pages
@@ -1752,9 +1761,9 @@ and group_transfer t ~gid ~src ~dest ~started ~ranges ~span members =
           match Migration.parse_group_transfer msg with
           | Error reason ->
             group_rollback t ~gid ~src ~dest ~buffer ~slots ~span members ~reason
-          | Ok (_, ranges, buffer) ->
+          | Ok (_, ranges, image) ->
             group_deliver t ~gid ~src ~dest ~started ~ranges ~slots ~pages ~span members
-              buffer)
+              ~buffer image)
         ~on_failed:(fun ~reason ->
           Obs.Span.finish t.tracer ~at:(Engine.now t.engine) ~note:reason train_span;
           group_rollback t ~gid ~src ~dest ~buffer ~slots ~span members ~reason))
@@ -2588,6 +2597,23 @@ let check_invariants t =
   Negotiation.check_global_invariant t.neg;
   Array.iter (fun n -> Slot_manager.check_invariants n.Node.mgr) t.nodes;
   Array.iter Delta_cache.check t.delta;
+  (* A residual page is owned by its cache alone: a migration hands an
+     unmapped page's buffer over, and every restore installs a copy. A
+     buffer still mapped somewhere would let a guest store rewrite the
+     retained image (and with it a rollback or the next delta). *)
+  Array.iteri
+    (fun n dc ->
+      Delta_cache.iter_pages dc (fun ~tid ~addr page ->
+          Array.iter
+            (fun node ->
+              if As.shares_page node.Node.space addr page then
+                failwith
+                  (Printf.sprintf
+                     "Cluster.check_invariants: node %d's residual page 0x%x of thread %d \
+                      is mapped on node %d"
+                     n addr tid (As.node node.Node.space)))
+            t.nodes))
+    t.delta;
   Hashtbl.iter
     (fun _ (th : Thread.t) ->
        match th.Thread.state with

@@ -174,6 +174,11 @@ let drop_peer t ~peer =
   List.iter (Hashtbl.remove t.knowledge) stale;
   List.length stale
 
+let iter_pages t f =
+  Hashtbl.iter
+    (fun tid img -> Hashtbl.iter (fun addr page -> f ~tid ~addr page) img.pages)
+    t.images
+
 (* Test hook: flip one byte of a retained page so the next [Cached]
    restore fails its hash check — exercises the fallback protocol. *)
 let corrupt_page t ~tid ~addr =

@@ -38,7 +38,8 @@ val enabled : t -> bool
 (** [retain t ~tid pages] stores (pinned) the given page copies as
     [tid]'s residual image, replacing any previous one. Each element is
     [(page_address, page_bytes)]; buffers are kept by reference, so
-    callers must pass copies the address space will not mutate.
+    callers must pass buffers no address space maps any more: copies,
+    or the buffers of pages just unmapped.
     No-op when disabled.
     @raise Invalid_argument if a buffer is not exactly one page. *)
 val retain : t -> tid:int -> (int * Bytes.t) list -> unit
@@ -80,6 +81,9 @@ val image_bytes : t -> int
 
 val images : t -> int
 (** Number of retained images. *)
+
+val iter_pages : t -> (tid:int -> addr:int -> Bytes.t -> unit) -> unit
+(** Visit every retained page, pinned or not (invariant checks). *)
 
 val corrupt_page : t -> tid:int -> addr:int -> bool
 (** Test hook: flip a byte in the retained copy of [tid]'s page at

@@ -70,38 +70,60 @@ let used_blocks space slot =
   in
   walk (Sh.blocks_base slot) []
 
-(* Pack a length-prefixed range of simulated memory, streaming page runs
+(* Pack a length-prefixed range of simulated memory, copying page runs
    straight into the wire buffer (same wire format as [pack_bytes]). *)
-let pack_mem space p addr len =
-  Pk.pack_raw p ~len (fun buf -> As.add_to_buffer space ~addr ~len buf)
+let pack_mem space p addr len = Pk.pack_mem p space ~addr ~len
 
-let pack_slot space packing p (th : Thread.t) slot =
-  let size = Sh.read_size space slot in
+(* What one slot contributes to a v1 image, decided before packing so the
+   whole image can be sized up front: every byte ([Full]), or the header
+   plus the live stack region from [sp] ([Stack]) or plus the used blocks
+   ([Blocks], (offset, size) pairs). *)
+type slot_plan =
+  | Full
+  | Stack of int
+  | Blocks of (int * int) list
+
+let plan_slot space packing (th : Thread.t) slot =
+  match packing with
+  | Full_slots -> Full
+  | Blocks_only -> (
+    match Sh.read_kind space slot with
+    | Sh.Stack ->
+      (* Only the live region [sp, stack top) is meaningful. *)
+      let sp = th.ctx.Interp.sp in
+      if sp < slot + Sh.size_of_header || sp > slot + Sh.read_size space slot then
+        failwith (Printf.sprintf "Migration: stack pointer 0x%x outside stack slot" sp);
+      Stack sp
+    | Sh.Data -> Blocks (used_blocks space slot))
+
+(* Wire bytes of one planned slot: address and size words, then the
+   image. *)
+let plan_bytes ~slot ~size = function
+  | Full -> 16 + 8 + size
+  | Stack sp -> 16 + 8 + Sh.size_of_header + 24 + (slot + size - sp)
+  | Blocks blocks ->
+    16 + 8 + Sh.size_of_header + 16
+    + List.fold_left (fun acc (_, bsize) -> acc + 16 + bsize) 0 blocks
+
+let pack_slot space p slot size plan =
   Pk.pack_int p slot;
   Pk.pack_int p size;
-  match packing with
-  | Full_slots -> pack_mem space p slot size
-  | Blocks_only ->
+  match plan with
+  | Full -> pack_mem space p slot size
+  | Stack sp ->
     (* Header verbatim (carries the chain links and kind). *)
     pack_mem space p slot Sh.size_of_header;
-    (match Sh.read_kind space slot with
-     | Sh.Stack ->
-       (* Only the live region [sp, stack top) is meaningful. *)
-       let sp = th.ctx.Interp.sp in
-       let top = slot + size in
-       if sp < slot + Sh.size_of_header || sp > top then
-         failwith (Printf.sprintf "Migration: stack pointer 0x%x outside stack slot" sp);
-       Pk.pack_int p 1; (* tag: stack payload *)
-       Pk.pack_int p (sp - slot);
-       pack_mem space p sp (top - sp)
-     | Sh.Data ->
-       Pk.pack_int p 0; (* tag: block list *)
-       let blocks = used_blocks space slot in
-       Pk.pack_list p
-         (fun (off, bsize) ->
-            Pk.pack_int p off;
-            pack_mem space p (slot + off) bsize)
-         blocks)
+    Pk.pack_int p 1; (* tag: stack payload *)
+    Pk.pack_int p (sp - slot);
+    pack_mem space p sp (slot + size - sp)
+  | Blocks blocks ->
+    pack_mem space p slot Sh.size_of_header;
+    Pk.pack_int p 0; (* tag: block list *)
+    Pk.pack_list p
+      (fun (off, bsize) ->
+        Pk.pack_int p off;
+        pack_mem space p (slot + off) bsize)
+      blocks
 
 (* Rebuild the free blocks of a data slot from the gaps between its used
    blocks, relinking the per-slot free list. *)
@@ -166,25 +188,47 @@ let unpack_slot space u =
 let pack ?(obs = Obs.Collector.null) ?(node = 0) ~geometry ~cost ~space ~packing
     (th : Thread.t) =
   ignore geometry;
-  let slots = Sh.chain_to_list space ~head:th.slots_head in
-  let p = Pk.packer () in
+  let slots =
+    List.map
+      (fun slot ->
+        let size = Sh.read_size space slot in
+        (slot, size, plan_slot space packing th slot))
+      (Sh.chain_to_list space ~head:th.slots_head)
+  in
+  (* The image size is known before packing: the packer is allocated
+     once, exactly, and hands its buffer over as the wire image. A
+     ~33 KB image grown by doubling instead allocates about four times
+     its size on the major heap, which costs [hop_plain] a third of its
+     throughput. *)
+  let descriptor = 8 * (9 + Pm2_mvm.Isa.num_regs + (2 * Hashtbl.length th.registry)) in
+  let total =
+    List.fold_left
+      (fun acc (slot, size, plan) -> acc + plan_bytes ~slot ~size plan)
+      (descriptor + 8) slots
+  in
+  let p = Pk.packer ~size:total () in
   pack_descriptor p th;
   Pk.pack_int p (List.length slots);
   List.iter
-    (fun slot ->
+    (fun (slot, size, plan) ->
        let before = Pk.packed_size p in
-       pack_slot space packing p th slot;
+       pack_slot space p slot size plan;
        if Obs.Collector.enabled obs then
          Obs.Collector.emit obs ~node
            (Obs.Event.Pack_slot
               { tid = th.Thread.id; slot; bytes = Pk.packed_size p - before }))
     slots;
+  (* The size is planned apart from the packing: a plan that drifted from
+     the wire layout must fail loudly here (the source is still intact),
+     not cost a silent regrow and copy. *)
+  if Pk.packed_size p <> total then
+    failwith
+      (Printf.sprintf "Migration.pack: image is %d bytes, planned %d" (Pk.packed_size p) total);
   (* Free the source memory: the slots stay owned by the thread (bitmaps
      untouched), but their pages leave this node. *)
   let munmap_total = ref 0. in
   List.iter
-    (fun slot ->
-       let size = Sh.read_size space slot in
+    (fun (slot, size, _) ->
        As.munmap space ~addr:slot ~size;
        munmap_total := !munmap_total +. Cm.munmap_cost cost ~pages:(size / Layout.page_size))
     slots;
@@ -269,7 +313,7 @@ let parse_verdict b =
   | exception Invalid_argument _ -> None
 
 let transfer_message ~tid ~ranges ~buffer =
-  let p = Pk.packer () in
+  let p = Pk.packer ~size:(40 + (16 * List.length ranges) + Bytes.length buffer) () in
   Pk.pack_int p transfer_magic;
   Pk.pack_int p tid;
   Pk.pack_int p (Pk.checksum buffer);
@@ -351,44 +395,63 @@ let unpack_descriptor_v2 u (th : Thread.t) =
     Hashtbl.replace th.registry k a
   done
 
+(* How one slot's pages ship: a v2 zero/data manifest, or v3 per-page
+   classes. *)
+type slot_image =
+  | Runs of Codec.run list
+  | Classes of Codec.page_class list
+
 let pack_group ?(obs = Obs.Collector.null) ?(node = 0) ?(version = Codec.V2)
     ?(known = fun ~tid:_ _ -> None) ?trace ?(unmap = true) ~cost ~space ~gid
     threads =
   (match version with
    | Codec.V1 -> invalid_arg "Migration.pack_group: v1 cannot carry a group image"
    | Codec.V2 | Codec.V3 -> ());
+  let npages size = size / Layout.page_size in
+  (* Every page is classified once, up front: the classes drive the
+     manifest and (v3) pick the pages to retain. *)
+  let classify (th : Thread.t) ~addr ~size =
+    match version with
+    | Codec.V1 -> assert false
+    | Codec.V2 -> Runs (Codec.manifest space ~addr ~size)
+    | Codec.V3 ->
+      Classes (Codec.delta_manifest space ~addr ~size ~known:(known ~tid:th.Thread.id))
+  in
+  let members =
+    List.map
+      (fun (th : Thread.t) ->
+        ( th,
+          List.map
+            (fun slot ->
+              let size = Sh.read_size space slot in
+              (slot, size, classify th ~addr:slot ~size))
+            (Sh.chain_to_list space ~head:th.slots_head) ))
+      threads
+  in
+  (* The image is built in place behind its frame header. *)
   let p = Pk.packer () in
+  let frame = Codec.begin_frame ?trace p version in
   Pk.pack_varint p gid;
   Pk.pack_varint p (List.length threads);
   let nslots = ref 0 and data_pages = ref 0 and zero_pages = ref 0 in
   let cached_pages = ref 0 in
-  let all_slots =
-    List.map
-      (fun (th : Thread.t) -> (th, Sh.chain_to_list space ~head:th.slots_head))
-      threads
-  in
   List.iter
     (fun ((th : Thread.t), slots) ->
       pack_descriptor_v2 p th;
       Pk.pack_varint p (List.length slots);
       let m_data = ref 0 and m_cached = ref 0 in
       List.iter
-        (fun slot ->
-          let size = Sh.read_size space slot in
+        (fun (slot, size, image) ->
           let before = Pk.packed_size p in
           Pk.pack_varint p slot;
           Pk.pack_varint p size;
-          (match version with
-           | Codec.V1 -> assert false
-           | Codec.V2 ->
-             let d, z = Codec.encode_range p space ~addr:slot ~size in
+          (match image with
+           | Runs runs ->
+             let d, z = Codec.encode_manifest p space ~addr:slot runs in
              data_pages := !data_pages + d;
              zero_pages := !zero_pages + z
-           | Codec.V3 ->
-             let d, z, c =
-               Codec.encode_delta_range p space ~addr:slot ~size
-                 ~known:(known ~tid:th.Thread.id)
-             in
+           | Classes classes ->
+             let d, z, c = Codec.encode_delta_manifest p space ~addr:slot classes in
              data_pages := !data_pages + d;
              zero_pages := !zero_pages + z;
              cached_pages := !cached_pages + c;
@@ -408,11 +471,15 @@ let pack_group ?(obs = Obs.Collector.null) ?(node = 0) ?(version = Codec.V2)
           Obs.Collector.emit obs ~node
             (Obs.Event.Delta_miss { tid = th.Thread.id; pages = !m_data })
       end)
-    all_slots;
-  (* A v3 sender retains a copy of every non-zero page before freeing the
-     source memory: the pinned residual image backs both the rollback
-     path and the full-resend fallback, and becomes the migrate-out
-     residual once the transfer settles. *)
+    members;
+  Codec.end_frame p frame;
+  (* A v3 sender retains every non-zero page before freeing the source
+     memory: the pinned residual image backs both the rollback path and
+     the full-resend fallback, and becomes the migrate-out residual once
+     the transfer settles. A migration hands each live page buffer over
+     — the munmap below drops the space's last reference to it, so the
+     retained image is its sole owner. A checkpoint leaves the thread
+     running on those pages, so it copies them. *)
   let retained =
     match version with
     | Codec.V1 | Codec.V2 -> []
@@ -421,18 +488,25 @@ let pack_group ?(obs = Obs.Collector.null) ?(node = 0) ?(version = Codec.V2)
         (fun ((th : Thread.t), slots) ->
           let pages =
             List.concat_map
-              (fun slot ->
-                let size = Sh.read_size space slot in
-                List.filter_map
-                  (fun i ->
-                    let a = slot + (i * Layout.page_size) in
-                    if As.page_is_zero space a then None
-                    else Some (a, As.load_bytes space a Layout.page_size))
-                  (List.init (size / Layout.page_size) Fun.id))
+              (fun (slot, _, image) ->
+                match image with
+                | Runs _ -> []
+                | Classes classes ->
+                  List.concat
+                    (List.mapi
+                       (fun i c ->
+                         match c with
+                         | Codec.Zero -> []
+                         | Codec.Data | Codec.Cached _ ->
+                           let a = slot + (i * Layout.page_size) in
+                           [ ( a,
+                               if unmap then As.page_for_read space a
+                               else As.load_bytes space a Layout.page_size ) ])
+                       classes))
               slots
           in
           (th.Thread.id, pages))
-        all_slots
+        members
   in
   (* Free the source memory only after every member is packed: the group
      image either exists in full or the source is untouched. A checkpoint
@@ -443,14 +517,12 @@ let pack_group ?(obs = Obs.Collector.null) ?(node = 0) ?(version = Codec.V2)
     List.iter
       (fun (_, slots) ->
         List.iter
-          (fun slot ->
-            let size = Sh.read_size space slot in
+          (fun (slot, size, _) ->
             As.munmap space ~addr:slot ~size;
-            munmap_total :=
-              !munmap_total +. Cm.munmap_cost cost ~pages:(size / Layout.page_size))
+            munmap_total := !munmap_total +. Cm.munmap_cost cost ~pages:(npages size))
           slots)
-      all_slots;
-  let buffer = Codec.frame ?trace version (Pk.contents p) in
+      members;
+  let buffer = Pk.contents p in
   let pack_cost =
     (float_of_int (List.length threads) *. cost.Cm.context_switch)
     +. Cm.memcpy_cost cost ~bytes:(Bytes.length buffer)
@@ -473,35 +545,43 @@ type group_unpacked = {
   u_missing : (int * int * int) list;
       (* (tid, page addr, hash): Cached pages the restore callback could
          not reconstruct — to be fetched via the RDLT/RFUL fallback. *)
-  u_ranges : (int * (int * int) list) list;
-      (* per member, its slot (addr, size) ranges as decoded *)
+  u_pages : (int * (int * int option) list) list;
+      (* per member, every page the image made non-zero, with its hash
+         when the image carried one (Cached) *)
   u_trace : (int * int) option;
       (* the frame's causal-trace context (trace id, parent span), for
          destination-side span parenting *)
 }
 
 let unpack_group ?(obs = Obs.Collector.null) ?(node = 0)
-    ?(restore = fun ~tid:_ ~addr:_ ~hash:_ -> false) ~cost ~space ~lookup buffer =
-  match Codec.decode_traced buffer with
+    ?(restore = fun ~tid:_ ~addr:_ ~hash:_ -> false) ?pos ?len ~cost ~space ~lookup
+    buffer =
+  let pos = Option.value pos ~default:0 in
+  let frame_len = Option.value len ~default:(Bytes.length buffer - pos) in
+  match Codec.decode_view buffer ~pos ~len:frame_len with
   | Error e -> invalid_arg ("Migration.unpack_group: " ^ Codec.error_to_string e)
   | Ok (Codec.V1, _, _) ->
     invalid_arg "Migration.unpack_group: v1 frame is not a group image"
-  | Ok (((Codec.V2 | Codec.V3) as version), u_trace, payload) ->
-    let u = Pk.unpacker payload in
+  | Ok (((Codec.V2 | Codec.V3) as version), u_trace, (data, pos, len)) ->
+    let u = Pk.unpacker_sub data ~pos ~len in
     let gid = Pk.unpack_varint u in
     let members = Pk.unpack_varint u in
     if members <= 0 then invalid_arg "Migration.unpack_group: empty group";
     let mmap_total = ref 0. in
     let tids = ref [] in
     let missing = ref [] in
-    let ranges = ref [] in
+    let pages = ref [] in
     for _ = 1 to members do
       let tid = Pk.unpack_varint u in
       let th : Thread.t = lookup tid in
       unpack_descriptor_v2 u th;
       tids := tid :: !tids;
       let nslots = Pk.unpack_varint u in
-      let member_ranges = ref [] in
+      let member_pages = ref [] in
+      let on_page a c =
+        let h = match c with Codec.Cached h -> Some h | Codec.Data | Codec.Zero -> None in
+        member_pages := (a, h) :: !member_pages
+      in
       for _ = 1 to nslots do
         let before = Pk.remaining u in
         let slot = Pk.unpack_varint u in
@@ -509,14 +589,13 @@ let unpack_group ?(obs = Obs.Collector.null) ?(node = 0)
         As.mmap space ~addr:slot ~size;
         (match version with
          | Codec.V1 -> assert false
-         | Codec.V2 -> ignore (Codec.decode_range u space ~addr:slot ~size)
+         | Codec.V2 -> ignore (Codec.decode_range ~on_page u space ~addr:slot ~size)
          | Codec.V3 ->
            let _, miss =
-             Codec.decode_delta_range u space ~addr:slot ~size
+             Codec.decode_delta_range ~on_page u space ~addr:slot ~size
                ~restore:(fun ~addr ~hash -> restore ~tid ~addr ~hash)
            in
            List.iter (fun (a, h) -> missing := (tid, a, h) :: !missing) miss);
-        member_ranges := (slot, size) :: !member_ranges;
         if Obs.Collector.enabled obs then
           Obs.Collector.emit obs ~node
             (Obs.Event.Unpack_slot { tid; slot; bytes = before - Pk.remaining u });
@@ -524,12 +603,12 @@ let unpack_group ?(obs = Obs.Collector.null) ?(node = 0)
           !mmap_total +. cost.Cm.mmap_base
           +. (float_of_int (size / Layout.page_size) *. cost.Cm.mmap_per_page)
       done;
-      ranges := (tid, List.rev !member_ranges) :: !ranges
+      pages := (tid, List.rev !member_pages) :: !pages
     done;
     if Pk.remaining u <> 0 then invalid_arg "Migration.unpack_group: trailing bytes";
     let unpack_cost =
       !mmap_total
-      +. Cm.memcpy_cost cost ~bytes:(Bytes.length buffer)
+      +. Cm.memcpy_cost cost ~bytes:frame_len
       +. (float_of_int members *. cost.Cm.context_switch)
     in
     {
@@ -537,7 +616,7 @@ let unpack_group ?(obs = Obs.Collector.null) ?(node = 0)
       u_tids = List.rev !tids;
       u_cost = unpack_cost;
       u_missing = List.rev !missing;
-      u_ranges = List.rev !ranges;
+      u_pages = List.rev !pages;
       u_trace;
     }
 
@@ -611,8 +690,10 @@ let parse_group_verdict b =
   | v -> Some v
   | exception Invalid_argument _ -> None
 
+(* One copy: the image goes straight into a packer sized for the whole
+   message. *)
 let group_transfer_message ~gid ~ranges ~buffer =
-  let p = Pk.packer () in
+  let p = Pk.packer ~size:(40 + (16 * List.length ranges) + Bytes.length buffer) () in
   Pk.pack_int p group_transfer_magic;
   Pk.pack_int p gid;
   Pk.pack_int p (Pk.checksum buffer);
@@ -628,14 +709,14 @@ let parse_group_transfer b =
     let gid = Pk.unpack_int u in
     let ck = Pk.unpack_int u in
     let ranges = unpack_ranges u in
-    let buffer = Pk.unpack_bytes u in
+    let image = Pk.unpack_view u in
     if Pk.remaining u <> 0 then invalid_arg "Migration: trailing group transfer bytes";
-    (gid, ck, ranges, buffer)
+    (gid, ck, ranges, image)
   with
   | exception Invalid_argument _ -> Error "malformed group transfer message"
-  | gid, ck, ranges, buffer ->
-    if Pk.checksum buffer <> ck then Error "group wire buffer checksum mismatch"
-    else Ok (gid, ranges, buffer)
+  | gid, ck, ranges, ((data, pos, len) as image) ->
+    if Pk.checksum_sub data ~pos ~len <> ck then Error "group wire buffer checksum mismatch"
+    else Ok (gid, ranges, image)
 
 (* -- delta fallback messages (RDLT request / RFUL full pages) --
 

@@ -114,9 +114,10 @@ type group_packed = {
   g_zero_pages : int; (* pages elided by the manifest *)
   g_cached_pages : int; (* pages shipped as hashes only (v3) *)
   g_retained : (int * (int * Bytes.t) list) list;
-      (* v3 only: per member, copies of every non-zero page taken at pack
-         time — the caller pins these in its delta cache to back rollback
-         and the full-resend fallback *)
+      (* v3 only: per member, every non-zero page as of pack time — the
+         caller pins these in its delta cache to back rollback and the
+         full-resend fallback. A migration ([~unmap:true]) hands over the
+         unmapped pages' own buffers; a checkpoint gets copies *)
 }
 
 (** [pack_group ~cost ~space ~gid threads] packs every member into one
@@ -133,7 +134,8 @@ type group_packed = {
     [?unmap:false] builds the identical image {e without} freeing the
     source memory (and without charging the munmaps) — the
     non-destructive snapshot a checkpoint takes of a still-running
-    thread. *)
+    thread. Each page is classified once (zero, data or cached), and the
+    image is written in place behind its frame header. *)
 val pack_group :
   ?obs:Pm2_obs.Collector.t ->
   ?node:int ->
@@ -156,15 +158,20 @@ type group_unpacked = {
       (* (tid, page addr, hash): v3 [Cached] pages the restore callback
          could not reconstruct; the caller fetches them with
          {!delta_request_message} before the group may commit *)
-  u_ranges : (int * (int * int) list) list;
-      (* per member, its slot (addr, size) ranges as decoded *)
+  u_pages : (int * (int * int option) list) list;
+      (* per member, in address order, every page the image made
+         non-zero: [Some hash] for a [Cached] page (restored, or still
+         missing — its fetch is validated against that hash), [None] for
+         a page shipped verbatim. What the destination records as its
+         knowledge of the source's residual, with no second scan *)
   u_trace : (int * int) option;
       (* the frame's causal-trace context (trace id, parent span id), if
          the sender stamped one *)
 }
 
 (** [unpack_group ~cost ~space ~lookup buffer] decodes a {!pack_group}
-    image: maps every slot at its original address, stores the data
+    image (the window [?pos], [?len] of [buffer], by default all of it,
+    read in place): maps every slot at its original address, stores the data
     pages, and overwrites each member's descriptor ([lookup tid] resolves
     the thread). For a V3 image, each [Cached] page invokes
     [restore ~tid ~addr ~hash]; the callback must blit the retained page
@@ -177,6 +184,8 @@ val unpack_group :
   ?obs:Pm2_obs.Collector.t ->
   ?node:int ->
   ?restore:(tid:int -> addr:int -> hash:int -> bool) ->
+  ?pos:int ->
+  ?len:int ->
   cost:Pm2_sim.Cost_model.t ->
   space:Pm2_vmem.Address_space.t ->
   lookup:(int -> Thread.t) ->
@@ -203,9 +212,11 @@ val parse_group_verdict : Bytes.t -> (int * bool * string) option
 val group_transfer_message :
   gid:int -> ranges:(int * int) list -> buffer:Bytes.t -> Bytes.t
 
-(** [Ok (gid, ranges, buffer)] after verifying the embedded checksum;
+(** [Ok (gid, ranges, (data, pos, len))] after verifying the embedded
+    checksum; the image is a view into the message, not a copy.
     [Error reason] on malformation or checksum mismatch. *)
-val parse_group_transfer : Bytes.t -> (int * (int * int) list * Bytes.t, string) result
+val parse_group_transfer :
+  Bytes.t -> (int * (int * int) list * (Bytes.t * int * int), string) result
 
 (** {1 Delta fallback messages (RDLT / RFUL)}
 

@@ -28,47 +28,35 @@ let version_name = function V1 -> "v1" | V2 -> "v2" | V3 -> "v3"
    unchanged. *)
 let trace_flag = 8
 
+(* Magic, version word and trace context: everything in a frame before
+   its length-prefixed payload. *)
+let pack_header ?trace p version =
+  Packet.pack_int p frame_magic;
+  match trace with
+  | None -> Packet.pack_int p (version_to_int version)
+  | Some (tid, parent) ->
+    Packet.pack_int p (version_to_int version lor trace_flag);
+    Packet.pack_int p tid;
+    Packet.pack_int p parent
+
 let frame ?trace version payload =
   let p = Packet.packer () in
-  Packet.pack_int p frame_magic;
-  (match trace with
-   | None -> Packet.pack_int p (version_to_int version)
-   | Some (tid, parent) ->
-     Packet.pack_int p (version_to_int version lor trace_flag);
-     Packet.pack_int p tid;
-     Packet.pack_int p parent);
+  pack_header ?trace p version;
   Packet.pack_bytes p payload;
   Packet.contents p
 
-let starts_with_magic buf =
-  Bytes.length buf >= 8 && Int64.to_int (Bytes.get_int64_le buf 0) = frame_magic
+(* A frame built in place: [begin_frame] packs the header and a
+   placeholder for the payload length, which [end_frame] fills once the
+   payload is packed behind it — the payload is never copied into a
+   frame. *)
+let begin_frame ?trace p version =
+  pack_header ?trace p version;
+  Packet.pack_int_slot p
 
-let parse buf =
-  if not (starts_with_magic buf) then
-    (* Bare legacy buffer: everything that predates the framed codec is a
-       v1 payload by definition, so old wire images keep decoding. *)
-    Ok (V1, buf)
-  else
-    try
-      let u = Packet.unpacker buf in
-      let _magic = Packet.unpack_int u in
-      let v = Packet.unpack_int u in
-      match version_of_int (v land lnot trace_flag) with
-      | None -> Error (Printf.sprintf "Codec: unknown frame version %d" v)
-      (* Only the group codecs ever carry a context; a "traced v1" word
-         (9) can only be corruption, and must keep failing as such. *)
-      | Some V1 when v land trace_flag <> 0 ->
-        Error (Printf.sprintf "Codec: unknown frame version %d" v)
-      | Some version ->
-        if v land trace_flag <> 0 then begin
-          let _trace = Packet.unpack_int u in
-          let _parent = Packet.unpack_int u in
-          ()
-        end;
-        let payload = Packet.unpack_bytes u in
-        if Packet.remaining u <> 0 then Error "Codec: trailing bytes after frame"
-        else Ok (version, payload)
-    with Invalid_argument e -> Error ("Codec: " ^ e)
+let end_frame p slot = Packet.patch_int p slot (Packet.packed_size p - slot - 8)
+
+let starts_with_magic buf ~pos ~len =
+  len >= 8 && Int64.to_int (Bytes.get_int64_le buf pos) = frame_magic
 
 (* Typed decode errors: fault-injected corruption must surface as a value
    the protocol layer can act on (nack / rollback), never as an exception
@@ -81,17 +69,22 @@ let error_to_string = function
   | Bad_version v -> Printf.sprintf "unknown frame version %d" v
   | Bad_manifest m -> "bad manifest: " ^ m
 
-(* [decode_traced] additionally surfaces the frame's trace context (if
-   any) for destination-side span parenting. *)
-let decode_traced buf =
-  if not (starts_with_magic buf) then Ok (V1, None, buf)
+(* The one frame parser; the others wrap it. The payload comes back as a
+   view into [buf]. *)
+let decode_view buf ~pos ~len =
+  if not (starts_with_magic buf ~pos ~len) then
+    (* Bare legacy buffer: everything that predates the framed codec is a
+       v1 payload by definition, so old wire images keep decoding. *)
+    Ok (V1, None, (buf, pos, len))
   else
     try
-      let u = Packet.unpacker buf in
+      let u = Packet.unpacker_sub buf ~pos ~len in
       let _magic = Packet.unpack_int u in
       let v = Packet.unpack_int u in
       match version_of_int (v land lnot trace_flag) with
       | None -> Error (Bad_version v)
+      (* Only the group codecs ever carry a context; a "traced v1" word
+         (9) can only be corruption, and must keep failing as such. *)
       | Some V1 when v land trace_flag <> 0 -> Error (Bad_version v)
       | Some version ->
         let trace =
@@ -102,16 +95,33 @@ let decode_traced buf =
           end
           else None
         in
-        let payload = Packet.unpack_bytes u in
+        let payload = Packet.unpack_view u in
         if Packet.remaining u <> 0 then
           Error (Bad_manifest "trailing bytes after frame")
         else Ok (version, trace, payload)
     with Invalid_argument e -> Error (Bad_manifest e)
 
+let decode_traced buf =
+  match decode_view buf ~pos:0 ~len:(Bytes.length buf) with
+  | Error e -> Error e
+  (* A bare v1 buffer is its own payload: hand it back uncopied. *)
+  | Ok (version, trace, (data, 0, len)) when len = Bytes.length buf ->
+    Ok (version, trace, data)
+  | Ok (version, trace, (data, pos, len)) -> Ok (version, trace, Bytes.sub data pos len)
+
 let decode buf =
   match decode_traced buf with
   | Ok (version, _, payload) -> Ok (version, payload)
   | Error e -> Error e
+
+let parse buf = Result.map_error (fun e -> "Codec: " ^ error_to_string e) (decode buf)
+
+(* Per-page classes of a slot image: v2 uses [Zero] and [Data]; v3 adds
+   [Cached] (see the v3 section below). *)
+type page_class =
+  | Zero
+  | Data
+  | Cached of int
 
 type run = {
   data : bool;
@@ -150,8 +160,7 @@ let decode_runs u =
       if pages <= 0 then invalid_arg "Codec: empty manifest run";
       { data = v land 1 = 1; pages })
 
-let encode_range p space ~addr ~size =
-  let runs = manifest space ~addr ~size in
+let encode_manifest p space ~addr runs =
   encode_runs p runs;
   let pos = ref addr in
   let data_pages = ref 0 and zero_pages = ref 0 in
@@ -160,15 +169,17 @@ let encode_range p space ~addr ~size =
       if r.data then begin
         data_pages := !data_pages + r.pages;
         let len = r.pages * Layout.page_size in
-        Packet.pack_unprefixed p ~len (fun buf ->
-            As.add_to_buffer space ~addr:!pos ~len buf)
+        let addr = !pos in
+        Packet.pack_mem_unprefixed p space ~addr ~len
       end
       else zero_pages := !zero_pages + r.pages;
       pos := !pos + (r.pages * Layout.page_size))
     runs;
   (!data_pages, !zero_pages)
 
-let decode_range u space ~addr ~size =
+let encode_range p space ~addr ~size = encode_manifest p space ~addr (manifest space ~addr ~size)
+
+let decode_range ?(on_page = fun _ _ -> ()) u space ~addr ~size =
   let runs = decode_runs u in
   let total = List.fold_left (fun acc r -> acc + r.pages) 0 runs in
   if total * Layout.page_size <> size then
@@ -181,7 +192,10 @@ let decode_range u space ~addr ~size =
         data_pages := !data_pages + r.pages;
         let len = r.pages * Layout.page_size in
         let src, off = Packet.unpack_take u len in
-        As.store_sub space !pos src ~pos:off ~len
+        As.store_sub space !pos src ~pos:off ~len;
+        for i = 0 to r.pages - 1 do
+          on_page (!pos + (i * Layout.page_size)) Data
+        done
       end;
       (* Zero runs need no bytes and no stores: the destination mapped the
          range fresh, so those pages are already zero. *)
@@ -202,11 +216,6 @@ let decode_range u space ~addr ~size =
    from its retained residual image and must fall back to a full resend
    whenever the lookup fails — the wire format guarantees it can always
    detect that case, never silently keep a stale page. *)
-
-type page_class =
-  | Zero
-  | Data
-  | Cached of int
 
 let class_tag = function Zero -> 0 | Data -> 1 | Cached _ -> 2
 
@@ -244,8 +253,8 @@ let delta_runs classes =
   in
   List.map (fun (c, n, hs) -> (c, n, List.rev hs)) (group [] classes)
 
-let encode_delta_range p space ~addr ~size ~known =
-  let runs = delta_runs (delta_manifest space ~addr ~size ~known) in
+let encode_delta_manifest p space ~addr classes =
+  let runs = delta_runs classes in
   Packet.pack_varint p (List.length runs);
   List.iter
     (fun (c, pages, hashes) ->
@@ -262,11 +271,13 @@ let encode_delta_range p space ~addr ~size ~known =
        | Data ->
          data_pages := !data_pages + pages;
          let len = pages * Layout.page_size in
-         Packet.pack_unprefixed p ~len (fun buf ->
-             As.add_to_buffer space ~addr:!pos ~len buf));
+         Packet.pack_mem_unprefixed p space ~addr:!pos ~len);
       pos := !pos + (pages * Layout.page_size))
     runs;
   (!data_pages, !zero_pages, !cached_pages)
+
+let encode_delta_range p space ~addr ~size ~known =
+  encode_delta_manifest p space ~addr (delta_manifest space ~addr ~size ~known)
 
 let decode_delta_runs u =
   let n = Packet.unpack_varint u in
@@ -290,7 +301,7 @@ let decode_delta_runs u =
         (Cached 0, pages, hashes)
       | _ -> invalid_arg "Codec: unknown page class")
 
-let decode_delta_range u space ~addr ~size ~restore =
+let decode_delta_range ?(on_page = fun _ _ -> ()) u space ~addr ~size ~restore =
   let runs = decode_delta_runs u in
   let total = List.fold_left (fun acc (_, pages, _) -> acc + pages) 0 runs in
   if total * Layout.page_size <> size then
@@ -306,11 +317,15 @@ let decode_delta_range u space ~addr ~size ~restore =
          data_pages := !data_pages + pages;
          let len = pages * Layout.page_size in
          let src, off = Packet.unpack_take u len in
-         As.store_sub space !pos src ~pos:off ~len
+         As.store_sub space !pos src ~pos:off ~len;
+         for i = 0 to pages - 1 do
+           on_page (!pos + (i * Layout.page_size)) Data
+         done
        | Cached _ ->
          List.iteri
            (fun i h ->
              let a = !pos + (i * Layout.page_size) in
+             on_page a (Cached h);
              if not (restore ~addr:a ~hash:h) then
                missing := (a, h) :: !missing)
            hashes);

@@ -60,6 +60,15 @@ val version_name : version -> string
     tracing-off runs put exactly the same bytes on the wire. *)
 val frame : ?trace:int * int -> version -> Bytes.t -> Bytes.t
 
+(** [begin_frame ?trace p version] packs a {!frame} header whose payload
+    length is still open and returns the slot to close; everything packed
+    next is the payload, and [end_frame p slot] fills in its length. The
+    result is byte-for-byte [frame ?trace version payload], built without
+    copying the payload. *)
+val begin_frame : ?trace:int * int -> Packet.packer -> version -> int
+
+val end_frame : Packet.packer -> int -> unit
+
 (** [parse buf] splits a frame into its version and payload. Buffers
     without the frame magic parse as [(V1, buf)] — backwards
     compatibility with bare legacy migration images. Errors on unknown
@@ -83,6 +92,25 @@ val decode : Bytes.t -> (version * Bytes.t, error) result
     through. Bare v1 buffers and untraced frames yield [None]. *)
 val decode_traced : Bytes.t -> (version * (int * int) option * Bytes.t, error) result
 
+(** [decode_view buf ~pos ~len] is {!decode_traced} on the window
+    [buf[pos .. pos+len-1]], returning the payload as a [(data, pos, len)]
+    view into [buf] instead of a copy — the receive path of a group
+    migration, which parses the image where the wire put it. *)
+val decode_view :
+  Bytes.t ->
+  pos:int ->
+  len:int ->
+  (version * (int * int) option * (Bytes.t * int * int), error) result
+
+(** Per-page classification of a slot image: v2 manifests use [Zero]
+    and [Data], v3 adds [Cached]. *)
+type page_class =
+  | Zero  (** all-zero; recreated by mapping alone *)
+  | Data  (** shipped verbatim *)
+  | Cached of int
+      (** content hash matches the destination's believed residual copy;
+          only the hash travels *)
+
 (** One v2 manifest entry: [pages] consecutive pages that either all
     carry data ([data = true], shipped verbatim) or are all zero
     ([data = false], elided). *)
@@ -103,13 +131,20 @@ val manifest : Pm2_vmem.Address_space.t -> addr:int -> size:int -> run list
 val encode_range :
   Packet.packer -> Pm2_vmem.Address_space.t -> addr:int -> size:int -> int * int
 
+(** [encode_manifest p space ~addr runs] is {!encode_range} for runs the
+    caller already holds ([manifest] of the same range). *)
+val encode_manifest :
+  Packet.packer -> Pm2_vmem.Address_space.t -> addr:int -> run list -> int * int
+
 (** [decode_range u space ~addr ~size] reads one {!encode_range} image
     and stores the data pages into [space], which must already have the
     whole range freshly mapped (zero runs are left untouched). Returns
-    the number of data pages stored.
+    the number of data pages stored; [on_page a Data] is called for each
+    of them.
     @raise Invalid_argument if the manifest does not cover [size] or the
     buffer is truncated. *)
 val decode_range :
+  ?on_page:(int -> page_class -> unit) ->
   Packet.unpacker -> Pm2_vmem.Address_space.t -> addr:int -> size:int -> int
 
 (** [try_decode_range] is {!decode_range} with corruption reported as
@@ -122,14 +157,6 @@ val try_decode_range :
   (int, error) result
 
 (** {1 v3 delta manifests} *)
-
-(** Per-page classification of a v3 slot image. *)
-type page_class =
-  | Zero  (** all-zero; recreated by mapping alone *)
-  | Data  (** shipped verbatim *)
-  | Cached of int
-      (** content hash matches the destination's believed residual copy;
-          only the hash travels *)
 
 (** [delta_manifest space ~addr ~size ~known] classifies each page of the
     range: all-zero pages are [Zero]; a page whose
@@ -158,6 +185,14 @@ val encode_delta_range :
   known:(int -> int option) ->
   int * int * int
 
+(** [encode_delta_manifest p space ~addr classes] is
+    {!encode_delta_range} for a classification the caller already holds
+    ([classes] from {!delta_manifest} of the same range): a packer that
+    also needs the classes (to retain the non-zero pages) classifies each
+    page once. *)
+val encode_delta_manifest :
+  Packet.packer -> Pm2_vmem.Address_space.t -> addr:int -> page_class list -> int * int * int
+
 (** [decode_delta_range u space ~addr ~size ~restore] reads one
     {!encode_delta_range} image into [space] (whole range freshly
     mapped). For each [Cached] page it calls
@@ -165,9 +200,13 @@ val encode_delta_range :
     [addr] and return [true] only if its content hash matches [hash].
     Pages whose restore fails are collected (in address order) into the
     returned missing list [(addr, hash)] for the caller to fetch via the
-    full-resend fallback. Returns [(data_pages, missing)].
+    full-resend fallback. Returns [(data_pages, missing)]. [on_page a c]
+    is called for every non-zero page, [Data] or [Cached hash] (restored
+    or not), so a caller learns the image's page hashes without
+    classifying the range again.
     @raise Invalid_argument if the manifest is structurally invalid. *)
 val decode_delta_range :
+  ?on_page:(int -> page_class -> unit) ->
   Packet.unpacker ->
   Pm2_vmem.Address_space.t ->
   addr:int ->

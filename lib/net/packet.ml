@@ -1,27 +1,76 @@
-type packer = Buffer.t
+(* A packer is a growable byte buffer with a write cursor. [contents]
+   hands the buffer itself over when it is exactly full — a pre-sized
+   packer thus produces its message with no final copy — and marks it
+   [shared], so a later write reallocates rather than scribbling on
+   bytes the caller now owns. *)
+type packer = {
+  mutable buf : Bytes.t;
+  mutable len : int;
+  mutable shared : bool;
+}
 
-let packer () = Buffer.create 256
+let packer ?(size = 256) () = { buf = Bytes.create (max 0 size); len = 0; shared = false }
 
-let pack_int p v = Buffer.add_int64_le p (Int64.of_int v)
+(* Claim [n] bytes at the cursor and return their offset. *)
+let reserve p n =
+  let need = p.len + n in
+  if need > Bytes.length p.buf || p.shared then begin
+    let cap = max need (if need > Bytes.length p.buf then 2 * Bytes.length p.buf else 0) in
+    let b = Bytes.create cap in
+    Bytes.blit p.buf 0 b 0 p.len;
+    p.buf <- b;
+    p.shared <- false
+  end;
+  let off = p.len in
+  p.len <- need;
+  off
 
-let pack_float p v = Buffer.add_int64_le p (Int64.bits_of_float v)
+let pack_int p v = Bytes.set_int64_le p.buf (reserve p 8) (Int64.of_int v)
 
-let pack_bytes p b =
-  pack_int p (Bytes.length b);
-  Buffer.add_bytes p b
+let pack_float p v = Bytes.set_int64_le p.buf (reserve p 8) (Int64.bits_of_float v)
 
-let pack_string p s = pack_bytes p (Bytes.of_string s)
-
-let pack_raw p ~len write =
+let pack_sub p b ~pos ~len =
+  if pos < 0 || len < 0 || pos > Bytes.length b - len then invalid_arg "Packet.pack_sub";
   pack_int p len;
-  let before = Buffer.length p in
-  write p;
-  if Buffer.length p - before <> len then
-    invalid_arg "Packet.pack_raw: writer produced a different length"
+  Bytes.blit b pos p.buf (reserve p len) len
+
+let pack_bytes p b = pack_sub p b ~pos:0 ~len:(Bytes.length b)
+
+let pack_string p s =
+  let len = String.length s in
+  pack_int p len;
+  Bytes.blit_string s 0 p.buf (reserve p len) len
+
+(* [blit_to_bytes] fills the whole window or raises; on a raise the
+   window is given back, so no byte of the reserved (uninitialised)
+   buffer is ever packed unwritten. *)
+let pack_mem_unprefixed p space ~addr ~len =
+  if len < 0 then invalid_arg "Packet.pack_mem_unprefixed";
+  let pos = reserve p len in
+  try Pm2_vmem.Address_space.blit_to_bytes space ~addr ~len p.buf ~pos
+  with e ->
+    p.len <- pos;
+    raise e
+
+let pack_mem p space ~addr ~len =
+  if len < 0 then invalid_arg "Packet.pack_mem";
+  let start = p.len in
+  pack_int p len;
+  try pack_mem_unprefixed p space ~addr ~len
+  with e ->
+    p.len <- start;
+    raise e
 
 let pack_list p f l =
   pack_int p (List.length l);
   List.iter f l
+
+let pack_int_slot p = reserve p 8
+
+let patch_int p off v =
+  if off < 0 || off > p.len - 8 then invalid_arg "Packet.patch_int";
+  if p.shared then ignore (reserve p 0);
+  Bytes.set_int64_le p.buf off (Int64.of_int v)
 
 (* Zigzag folds the sign bit into bit 0 so small negative values stay
    small on the wire; LEB128 then emits 7 bits per byte. *)
@@ -35,31 +84,37 @@ let pack_varint p v =
     let b = !z land 0x7f in
     z := !z lsr 7;
     if !z = 0 then begin
-      Buffer.add_char p (Char.chr b);
+      Bytes.unsafe_set p.buf (reserve p 1) (Char.unsafe_chr b);
       continue := false
     end
-    else Buffer.add_char p (Char.chr (b lor 0x80))
+    else Bytes.unsafe_set p.buf (reserve p 1) (Char.unsafe_chr (b lor 0x80))
   done
 
-let pack_unprefixed p ~len write =
-  let before = Buffer.length p in
-  write p;
-  if Buffer.length p - before <> len then
-    invalid_arg "Packet.pack_unprefixed: writer produced a different length"
+let packed_size p = p.len
 
-let packed_size p = Buffer.length p
+let contents p =
+  if p.len = Bytes.length p.buf then begin
+    p.shared <- true;
+    p.buf
+  end
+  else Bytes.sub p.buf 0 p.len
 
-let contents p = Buffer.to_bytes p
-
+(* An unpacker reads the window [pos, limit) of its buffer. *)
 type unpacker = {
   data : Bytes.t;
   mutable pos : int;
+  limit : int;
 }
 
-let unpacker data = { data; pos = 0 }
+let unpacker_sub data ~pos ~len =
+  if pos < 0 || len < 0 || pos > Bytes.length data - len then
+    invalid_arg "Packet.unpacker_sub";
+  { data; pos; limit = pos + len }
+
+let unpacker data = { data; pos = 0; limit = Bytes.length data }
 
 let need u n =
-  if u.pos + n > Bytes.length u.data then invalid_arg "Packet: truncated buffer"
+  if n < 0 || u.pos + n > u.limit then invalid_arg "Packet: truncated buffer"
 
 let unpack_int u =
   need u 8;
@@ -73,21 +128,20 @@ let unpack_float u =
   u.pos <- u.pos + 8;
   v
 
-let unpack_bytes u =
-  let len = unpack_int u in
-  need u len;
-  let b = Bytes.sub u.data u.pos len in
-  u.pos <- u.pos + len;
-  b
-
-let unpack_string u = Bytes.to_string (unpack_bytes u)
-
 let unpack_view u =
   let len = unpack_int u in
   need u len;
   let pos = u.pos in
   u.pos <- u.pos + len;
   (u.data, pos, len)
+
+let unpack_bytes u =
+  let data, pos, len = unpack_view u in
+  Bytes.sub data pos len
+
+let unpack_string u =
+  let data, pos, len = unpack_view u in
+  Bytes.sub_string data pos len
 
 let unpack_list u f =
   let n = unpack_int u in
@@ -113,14 +167,38 @@ let unpack_take u len =
   u.pos <- u.pos + len;
   (u.data, pos)
 
-let remaining u = Bytes.length u.data - u.pos
+let remaining u = u.limit - u.pos
 
-(* FNV-1a 64, folded to a non-negative OCaml int, for end-to-end wire
-   integrity checks (reliable delivery, migration transfer). *)
-let checksum b =
-  let h = ref 0xcbf29ce484222325L in
-  Bytes.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
-    b;
-  Int64.to_int (Int64.logand !h 0x3FFFFFFFFFFFFFFFL)
+(* Word-at-a-time FNV-1a 64 for end-to-end wire integrity checks
+   (reliable delivery, migration transfer). The length is folded in
+   first, so appending or dropping zero bytes changes the sum; the tail
+   bytes fold in one at a time; the splitmix64 finalizer spreads every
+   input bit before the fold to a non-negative OCaml int. The
+   accumulator is a local [Int64] ref that no closure captures, so the
+   native compiler keeps it unboxed: the loop allocates nothing. *)
+let fnv_prime = 0x100000001b3L
+
+(* The splitmix64 finalizer [Address_space.page_hash] ends with. It is
+   repeated here rather than called: a call across the module boundary
+   would box its [Int64] argument and result. *)
+let[@inline] mix64 h =
+  let h = Int64.logxor h (Int64.shift_right_logical h 30) in
+  let h = Int64.mul h 0xbf58476d1ce4e5b9L in
+  let h = Int64.logxor h (Int64.shift_right_logical h 27) in
+  let h = Int64.mul h 0x94d049bb133111ebL in
+  Int64.logxor h (Int64.shift_right_logical h 31)
+
+let checksum_sub b ~pos ~len =
+  if pos < 0 || len < 0 || pos > Bytes.length b - len then
+    invalid_arg "Packet.checksum_sub";
+  let h = ref (Int64.mul (Int64.logxor 0xcbf29ce484222325L (Int64.of_int len)) fnv_prime) in
+  let words = len lsr 3 in
+  for i = 0 to words - 1 do
+    h := Int64.mul (Int64.logxor !h (Bytes.get_int64_le b (pos + (i lsl 3)))) fnv_prime
+  done;
+  for i = pos + (words lsl 3) to pos + len - 1 do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code (Bytes.unsafe_get b i)))) fnv_prime
+  done;
+  Int64.to_int (Int64.logand (mix64 !h) 0x3FFFFFFFFFFFFFFFL)
+
+let checksum b = checksum_sub b ~pos:0 ~len:(Bytes.length b)

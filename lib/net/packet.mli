@@ -10,7 +10,10 @@
 
 type packer
 
-val packer : unit -> packer
+(** [packer ?size ()] is an empty packer with room for [size] bytes
+    (default 256); it grows by doubling past that. A packer sized to its
+    exact message hands that buffer over from {!contents} with no copy. *)
+val packer : ?size:int -> unit -> packer
 
 val pack_int : packer -> int -> unit
 (** 8 bytes, little-endian. *)
@@ -20,19 +23,25 @@ val pack_float : packer -> float -> unit
 val pack_bytes : packer -> Bytes.t -> unit
 (** Length-prefixed byte block. *)
 
+(** [pack_sub p b ~pos ~len] packs the slice [b[pos .. pos+len-1]] as a
+    length-prefixed block — {!pack_bytes} without first copying the
+    slice out. @raise Invalid_argument if the slice falls outside [b]. *)
+val pack_sub : packer -> Bytes.t -> pos:int -> len:int -> unit
+
 val pack_string : packer -> string -> unit
 
 val pack_list : packer -> ('a -> unit) -> 'a list -> unit
 (** Length-prefixed list; elements packed by the callback. *)
 
-(** [pack_raw p ~len write] packs a length-prefixed block of exactly [len]
-    bytes produced by [write] appending directly to the wire buffer — the
-    zero-copy variant of {!pack_bytes} used by the migration packer to
-    stream simulated memory onto the wire without an intermediate copy.
-    The wire format is identical to [pack_bytes].
-    @raise Invalid_argument if [write] appends a different number of
-    bytes. *)
-val pack_raw : packer -> len:int -> (Buffer.t -> unit) -> unit
+(** [pack_mem p space ~addr ~len] packs the [len] bytes of simulated
+    memory at [addr] as a length-prefixed block, copied page run by page
+    run straight into the wire buffer — {!pack_bytes} of
+    [Address_space.load_bytes space addr len] without the intermediate
+    copy, the way the migration packer streams memory onto the wire.
+    @raise Invalid_argument if [len] is negative.
+    @raise Pm2_vmem.Address_space.Segfault if the range is unmapped;
+    either way nothing is packed. *)
+val pack_mem : packer -> Pm2_vmem.Address_space.t -> addr:int -> len:int -> unit
 
 (** [pack_varint p v] packs [v] as a zigzag-folded LEB128 varint: the
     sign bit moves to bit 0, then 7 bits per wire byte, high bit set on
@@ -41,15 +50,25 @@ val pack_raw : packer -> len:int -> (Buffer.t -> unit) -> unit
     codec ({!Codec}). *)
 val pack_varint : packer -> int -> unit
 
-(** [pack_unprefixed p ~len write] appends exactly [len] bytes produced
-    by [write] with {e no} length prefix — for codec layers that already
-    know the length from their own framing (e.g. fixed-size page images).
-    @raise Invalid_argument if [write] appends a different number of
-    bytes. *)
-val pack_unprefixed : packer -> len:int -> (Buffer.t -> unit) -> unit
+(** [pack_mem_unprefixed] is {!pack_mem} with {e no} length prefix —
+    for codec layers that already know the length from their own framing
+    (e.g. fixed-size page images). *)
+val pack_mem_unprefixed : packer -> Pm2_vmem.Address_space.t -> addr:int -> len:int -> unit
+
+(** [pack_int_slot p] packs a placeholder word and returns its offset,
+    for a header field (a length, a checksum) known only once later
+    fields are packed. Fill it with {!patch_int}. *)
+val pack_int_slot : packer -> int
+
+(** [patch_int p off v] overwrites the packed word at [off].
+    @raise Invalid_argument if [off] is not a packed word. *)
+val patch_int : packer -> int -> int -> unit
 
 val packed_size : packer -> int
 
+(** [contents p] is the packed message. When the packer is exactly full
+    this is its buffer itself, handed over: later writes to [p] copy it
+    first, so the result never changes under the caller. *)
 val contents : packer -> Bytes.t
 
 (** {1 Unpacking} *)
@@ -57,6 +76,13 @@ val contents : packer -> Bytes.t
 type unpacker
 
 val unpacker : Bytes.t -> unpacker
+
+(** [unpacker_sub b ~pos ~len] reads only the window
+    [b[pos .. pos+len-1]]: {!remaining} counts to its end, and reading
+    past it fails as truncation. Parsers of nested frames use it to
+    read an inner message in place instead of copying it out.
+    @raise Invalid_argument if the window falls outside [b]. *)
+val unpacker_sub : Bytes.t -> pos:int -> len:int -> unpacker
 
 val unpack_int : unpacker -> int
 val unpack_float : unpacker -> float
@@ -76,7 +102,7 @@ val unpack_varint : unpacker -> int
 
 (** [unpack_take u len] consumes the next [len] un-prefixed bytes and
     returns an aliasing [(data, pos)] view — the inverse of
-    {!pack_unprefixed}.
+    {!pack_mem_unprefixed}.
     @raise Invalid_argument if fewer than [len] bytes remain. *)
 val unpack_take : unpacker -> int -> Bytes.t * int
 
@@ -86,6 +112,27 @@ val remaining : unpacker -> int
 (** {1 Integrity} *)
 
 val checksum : Bytes.t -> int
-(** FNV-1a 64-bit hash folded to a non-negative OCaml [int]. Used by the
-    reliable-delivery layer and the two-phase migration protocol to
-    detect corrupted wire buffers. *)
+(** Word-at-a-time FNV-1a 64 over the whole buffer, folded to a
+    non-negative OCaml [int]. Used by the reliable-delivery layer and
+    the two-phase migration protocol to detect corrupted wire buffers.
+    Definition, for [len] bytes:
+    {ol
+    {- [h := (0xcbf29ce484222325 lxor len) * 0x100000001b3] — the length
+       is folded in first, so appending or removing a zero byte changes
+       the sum;}
+    {- for each full 8-byte little-endian word [w]:
+       [h := (h lxor w) * 0x100000001b3];}
+    {- for each of the [len mod 8] tail bytes [c], in order:
+       [h := (h lxor c) * 0x100000001b3];}
+    {- the result is the splitmix64 finalizer of [h] (the one
+       {!Pm2_vmem.Address_space.page_hash} ends with: [h ^= h >>> 30;
+       h *= 0xbf58476d1ce4e5b9; h ^= h >>> 27; h *= 0x94d049bb133111eb;
+       h ^= h >>> 31]) with its top two bits cleared.}}
+    Arithmetic is modulo 2{^64}. Each step is a bijection of [h], so any
+    single-byte change alters the 64-bit value before the 62-bit fold.
+    The loop allocates nothing. *)
+
+val checksum_sub : Bytes.t -> pos:int -> len:int -> int
+(** [checksum_sub b ~pos ~len] is [checksum (Bytes.sub b pos len)]
+    without the copy — receivers verify a frame's inner slice in place.
+    @raise Invalid_argument if the slice falls outside [b]. *)

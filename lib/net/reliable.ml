@@ -18,7 +18,8 @@ let heartbeat_magic = 0x48424541 (* "HBEA": one liveness beacon, unacked *)
    the destination-side [Train] span. [rx_dst] lets a node crash tear down
    its partial assemblies. *)
 type train_rx = {
-  frags : Bytes.t option array;
+  frags : (Bytes.t * int * int) option array;
+      (* fragment payloads as views into their own wire frames *)
   mutable have : int;
   mutable rx_ctx : (int * int) option;
   rx_first : float;
@@ -113,46 +114,53 @@ let trains_sent t = t.trains_sent
 
 let train_retransmits t = t.train_retransmits
 
-(* Frames are [magic][checksum(inner)][inner]; the checksum covers the
-   sequence number as well as the payload, so a bit-flip anywhere in the
-   frame makes the receiver discard it (and retransmission recovers). *)
-let frame ~magic inner =
-  let p = Packet.packer () in
+(* Frames are [magic][checksum(inner)][inner length][inner]; the checksum
+   covers the sequence number as well as the payload, so a bit-flip
+   anywhere in the frame makes the receiver discard it (and
+   retransmission recovers). [write] packs the inner message straight
+   into a packer pre-sized by [size] (the inner length when known), and
+   the checksum is computed over it in place: building a frame copies
+   its payload once. *)
+let frame ~magic ~size write =
+  let p = Packet.packer ~size:(24 + size) () in
   Packet.pack_int p magic;
-  Packet.pack_int p (Packet.checksum inner);
-  Packet.pack_bytes p inner;
-  Packet.contents p
+  Packet.pack_int p 0 (* checksum, set below *);
+  let len = Packet.pack_int_slot p in
+  write p;
+  Packet.patch_int p len (Packet.packed_size p - 24);
+  let wire = Packet.contents p in
+  Bytes.set_int64_le wire 8
+    (Int64.of_int (Packet.checksum_sub wire ~pos:24 ~len:(Bytes.length wire - 24)));
+  wire
 
+(* [Some (magic, inner)] with [inner] an unpacker over the frame's own
+   bytes — receivers parse in place, and copy out only what they
+   deliver. *)
 let parse_frame b =
   match
     let u = Packet.unpacker b in
     let magic = Packet.unpack_int u in
     let ck = Packet.unpack_int u in
-    let inner = Packet.unpack_bytes u in
-    if Packet.remaining u <> 0 || Packet.checksum inner <> ck then None
-    else Some (magic, inner)
+    let data, pos, len = Packet.unpack_view u in
+    if Packet.remaining u <> 0 || Packet.checksum_sub data ~pos ~len <> ck then None
+    else Some (magic, Packet.unpacker_sub data ~pos ~len)
   with
   | exception Invalid_argument _ -> None
   | v -> v
 
 let data_frame ~seq payload =
-  let p = Packet.packer () in
-  Packet.pack_int p seq;
-  Packet.pack_bytes p payload;
-  frame ~magic:data_magic (Packet.contents p)
+  frame ~magic:data_magic ~size:(16 + Bytes.length payload) (fun p ->
+      Packet.pack_int p seq;
+      Packet.pack_bytes p payload)
 
-let ack_frame ~seq =
-  let p = Packet.packer () in
-  Packet.pack_int p seq;
-  frame ~magic:ack_magic (Packet.contents p)
+let ack_frame ~seq = frame ~magic:ack_magic ~size:8 (fun p -> Packet.pack_int p seq)
+
+let ack_bytes = Bytes.length (ack_frame ~seq:0)
 
 let handle_ack t b =
   match parse_frame b with
   | Some (magic, inner) when magic = ack_magic -> (
-    match
-      let u = Packet.unpacker inner in
-      Packet.unpack_int u
-    with
+    match Packet.unpack_int inner with
     | exception Invalid_argument _ -> ()
     | seq -> (
       match Hashtbl.find_opt t.pending seq with
@@ -164,9 +172,8 @@ let handle_data t ~src ~dst ~on_delivered b =
   match parse_frame b with
   | Some (magic, inner) when magic = data_magic -> (
     match
-      let u = Packet.unpacker inner in
-      let seq = Packet.unpack_int u in
-      let payload = Packet.unpack_bytes u in
+      let seq = Packet.unpack_int inner in
+      let payload = Packet.unpack_bytes inner in
       (seq, payload)
     with
     | exception Invalid_argument _ -> ()
@@ -204,7 +211,7 @@ let send t ~src ~dst payload ~on_delivered ~on_failed =
           Hashtbl.remove t.pending seq );
     let rtt =
       Network.transfer_time t.net ~bytes
-      +. Network.transfer_time t.net ~bytes:(Bytes.length (ack_frame ~seq:0))
+      +. Network.transfer_time t.net ~bytes:ack_bytes
     in
     (* Generous initial timeout: jittered copies routinely exceed the
        modelled RTT, and a spurious retransmit only costs a suppressed
@@ -257,10 +264,9 @@ let send t ~src ~dst payload ~on_delivered ~on_failed =
    that a dead or partitioned sender produces none at all). [gen] is the
    sender's incarnation number, so a restarted node is recognisably new. *)
 let heartbeat_frame ~node ~gen =
-  let p = Packet.packer () in
-  Packet.pack_int p node;
-  Packet.pack_int p gen;
-  frame ~magic:heartbeat_magic (Packet.contents p)
+  frame ~magic:heartbeat_magic ~size:16 (fun p ->
+      Packet.pack_int p node;
+      Packet.pack_int p gen)
 
 let send_heartbeat t ~src ~dst ~gen ~on_heard =
   Pm2_util.Domain_guard.check t.guard;
@@ -268,9 +274,8 @@ let send_heartbeat t ~src ~dst ~gen ~on_heard =
       match parse_frame b with
       | Some (magic, inner) when magic = heartbeat_magic -> (
         match
-          let u = Packet.unpacker inner in
-          let node = Packet.unpack_int u in
-          let gen = Packet.unpack_int u in
+          let node = Packet.unpack_int inner in
+          let gen = Packet.unpack_int inner in
           (node, gen)
         with
         | exception Invalid_argument _ -> ()
@@ -313,30 +318,27 @@ let forget_node t ~node =
    fragments keep their historic size (and transfer time). The receiver
    detects it by the 16 bytes left after the payload. *)
 let frag_frame ?trace ~train ~idx ~nfrags payload ~pos ~len () =
-  let p = Packet.packer () in
-  Packet.pack_int p train;
-  Packet.pack_int p idx;
-  Packet.pack_int p nfrags;
-  Packet.pack_raw p ~len (fun buf -> Buffer.add_subbytes buf payload pos len);
-  (match trace with
-   | None -> ()
-   | Some (tid, parent) ->
-     Packet.pack_int p tid;
-     Packet.pack_int p parent);
-  frame ~magic:frag_magic (Packet.contents p)
+  let ctx = match trace with None -> 0 | Some _ -> 16 in
+  frame ~magic:frag_magic ~size:(32 + len + ctx) (fun p ->
+      Packet.pack_int p train;
+      Packet.pack_int p idx;
+      Packet.pack_int p nfrags;
+      Packet.pack_sub p payload ~pos ~len;
+      match trace with
+      | None -> ()
+      | Some (tid, parent) ->
+        Packet.pack_int p tid;
+        Packet.pack_int p parent)
 
 let train_ack_frame ~train =
-  let p = Packet.packer () in
-  Packet.pack_int p train;
-  frame ~magic:train_ack_magic (Packet.contents p)
+  frame ~magic:train_ack_magic ~size:8 (fun p -> Packet.pack_int p train)
+
+let train_ack_bytes = Bytes.length (train_ack_frame ~train:0)
 
 let handle_train_ack t b =
   match parse_frame b with
   | Some (magic, inner) when magic = train_ack_magic -> (
-    match
-      let u = Packet.unpacker inner in
-      Packet.unpack_int u
-    with
+    match Packet.unpack_int inner with
     | exception Invalid_argument _ -> ()
     | train -> (
       match Hashtbl.find_opt t.train_pending train with
@@ -346,13 +348,12 @@ let handle_train_ack t b =
 
 let handle_frag t ~src ~dst ~on_delivered b =
   match parse_frame b with
-  | Some (magic, inner) when magic = frag_magic -> (
+  | Some (magic, u) when magic = frag_magic -> (
     match
-      let u = Packet.unpacker inner in
       let train = Packet.unpack_int u in
       let idx = Packet.unpack_int u in
       let nfrags = Packet.unpack_int u in
-      let payload = Packet.unpack_bytes u in
+      let payload = Packet.unpack_view u in
       let ctx =
         if Packet.remaining u = 16 then begin
           let tid = Packet.unpack_int u in
@@ -402,10 +403,20 @@ let handle_frag t ~src ~dst ~on_delivered b =
            rx.frags.(idx) <- Some payload;
            rx.have <- rx.have + 1);
         if rx.have = nfrags then begin
-          let buf = Buffer.create 1024 in
-          Array.iter
-            (function Some b -> Buffer.add_bytes buf b | None -> assert false)
-            rx.frags;
+          (* One copy: every fragment's slice straight into the
+             exact-sized image. *)
+          let total =
+            Array.fold_left
+              (fun acc f -> let _, _, n = Option.get f in acc + n) 0 rx.frags
+          in
+          let buf = Bytes.create total in
+          ignore
+            (Array.fold_left
+               (fun at f ->
+                 let data, pos, n = Option.get f in
+                 Bytes.blit data pos buf at n;
+                 at + n)
+               0 rx.frags);
           Hashtbl.remove t.train_rx train;
           Hashtbl.replace t.trains_delivered train ();
           Network.send t.net ~src:dst ~dst:src (train_ack_frame ~train)
@@ -424,7 +435,7 @@ let handle_frag t ~src ~dst ~on_delivered b =
                ~note:(Printf.sprintf "train=%d frags=%d" train nfrags)
                span
            | None -> ());
-          on_delivered (Buffer.to_bytes buf)
+          on_delivered buf
         end
       end)
   | Some _ | None -> () (* corrupt or foreign frame: retransmission covers it *)
@@ -464,7 +475,7 @@ let send_train ?trace t ~src ~dst payload ~on_delivered ~on_failed =
           Hashtbl.remove t.train_pending train );
     let rtt =
       Network.transfer_time t.net ~bytes:wire_bytes
-      +. Network.transfer_time t.net ~bytes:(Bytes.length (train_ack_frame ~train:0))
+      +. Network.transfer_time t.net ~bytes:train_ack_bytes
     in
     let base_timeout = (2. *. rtt) +. 50. in
     if Obs.Collector.enabled t.obs then

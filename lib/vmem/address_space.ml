@@ -258,6 +258,31 @@ let page_hash t a =
     end;
     d.hash
 
+let page_hash_memoized t a =
+  match find_mapped t "page_hash_memoized" a with
+  | Zero -> false
+  | Data d -> d.hash <> no_hash
+
+(* A verified restore: the caller has checked [src] against [hash], so
+   the private copy starts with that hash memoized and the next
+   [page_hash] of the page is a probe, not a scan. The page is stamped
+   like any store. Neither cache may keep pointing at it: the write cache
+   would let the next store skip dropping the memo. *)
+let install_page t a src ~hash =
+  if Bytes.length src <> Layout.page_size then
+    invalid_arg "Address_space.install_page: not a page-sized buffer";
+  if hash < 0 then invalid_arg "Address_space.install_page: negative hash";
+  let p = Layout.page_of_addr a in
+  if not (Hashtbl.mem t.pages p) then segv t a "install";
+  Hashtbl.replace t.pages p (Data { bytes = Bytes.copy src; epoch = t.epoch; hash });
+  if t.last_page = p then t.last_page <- -1;
+  if t.last_dirty = p then t.last_dirty <- -1
+
+let shares_page t a b =
+  match Hashtbl.find_opt t.pages (Layout.page_of_addr a) with
+  | Some (Data d) -> d.bytes == b
+  | Some Zero | None -> false
+
 (* Raw page handles for the MVM execution engine's inlined load/store
    fast path. [page_for_read]/[page_for_write] are exactly the internal
    [page]/[wpage] lookups (including the dirty mark on the write side).
@@ -341,15 +366,17 @@ let store_sub t a b ~pos ~len =
     done_ := !done_ + chunk
   done
 
-let add_to_buffer t ~addr ~len buf =
-  let pos = ref 0 in
-  while !pos < len do
-    let a = addr + !pos in
+let blit_to_bytes t ~addr ~len dst ~pos =
+  if pos < 0 || len < 0 || pos > Bytes.length dst - len then
+    invalid_arg "Address_space.blit_to_bytes";
+  let done_ = ref 0 in
+  while !done_ < len do
+    let a = addr + !done_ in
     let off = a land (Layout.page_size - 1) in
-    let chunk = min (len - !pos) (Layout.page_size - off) in
+    let chunk = min (len - !done_) (Layout.page_size - off) in
     let p = page t "load" a in
-    Buffer.add_subbytes buf p off chunk;
-    pos := !pos + chunk
+    Bytes.blit p off dst (pos + !done_) chunk;
+    done_ := !done_ + chunk
   done
 
 let load_string t a len = Bytes.to_string (load_bytes t a len)

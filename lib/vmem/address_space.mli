@@ -135,6 +135,25 @@ val page_bytes_hash : Bytes.t -> int
     residual pages. @raise Invalid_argument if [b] is not exactly one
     page long. *)
 
+val page_hash_memoized : t -> addr -> bool
+(** [true] iff the page holds a memoized hash, i.e. {!page_hash} will
+    answer without scanning it. Demand-zero pages answer [false] (their
+    hash is a constant, never memoized). @raise Segfault if unmapped. *)
+
+(** [install_page t a src ~hash] makes the mapped page at [a] a private
+    copy of [src] ([Bytes.copy]: no zero-fill, no later aliasing of
+    [src]) with [hash] already memoized, and stamps it like a store. The
+    caller vouches that [hash = page_bytes_hash src] — the verified
+    restore of a delta [Cached] page, whose hash check already scanned
+    it. @raise Invalid_argument if [src] is not one page long or [hash]
+    is negative. @raise Segfault if the page is unmapped. *)
+val install_page : t -> addr -> Bytes.t -> hash:int -> unit
+
+(** [shares_page t a b] is [true] iff the page mapped at [a] is backed by
+    [b] itself ([==]) — the check that a retained residual page never
+    aliases live memory. Touches no cache; never faults. *)
+val shares_page : t -> addr -> Bytes.t -> bool
+
 (** {1 Typed access} *)
 
 (** [page_for_read t a] is the live page buffer containing [a] — the
@@ -174,10 +193,12 @@ val store_bytes : t -> addr -> Bytes.t -> unit
     wire. @raise Invalid_argument if [pos]/[len] fall outside [b]. *)
 val store_sub : t -> addr -> Bytes.t -> pos:int -> len:int -> unit
 
-(** [add_to_buffer t ~addr ~len buf] appends the range to [buf] page run
-    by page run, with no intermediate [Bytes.t] — the zero-copy packing
-    path of a migration. @raise Segfault on unmapped access. *)
-val add_to_buffer : t -> addr:addr -> len:int -> Buffer.t -> unit
+(** [blit_to_bytes t ~addr ~len dst ~pos] copies the range into
+    [dst[pos .. pos+len-1]] page run by page run — the copy-out a
+    migration packer uses to write simulated memory straight into its
+    wire buffer. @raise Segfault on unmapped access.
+    @raise Invalid_argument if the window falls outside [dst]. *)
+val blit_to_bytes : t -> addr:addr -> len:int -> Bytes.t -> pos:int -> unit
 
 val load_string : t -> addr -> int -> string
 

@@ -472,6 +472,164 @@ let test_cache_affinity_balances () =
   Alcotest.(check bool) "migrations requested" true
     ((Balancer.stats b).Balancer.migrations_requested > 0)
 
+(* -- page hand-off and verified restores -- *)
+
+let test_install_page_memoizes () =
+  let space = As.create ~node:0 () in
+  let addr = 0x40000 in
+  As.mmap space ~addr ~size:(2 * page);
+  let src = Bytes.init page (fun i -> Char.chr ((i * 5) land 255)) in
+  let hash = As.page_bytes_hash src in
+  As.install_page space addr src ~hash;
+  Alcotest.(check bool) "installed with its hash memoized" true
+    (As.page_hash_memoized space addr);
+  Alcotest.(check int) "memo = page_bytes_hash of the page" hash
+    (As.page_bytes_hash (As.load_bytes space addr page));
+  Alcotest.(check bool) "a private copy" false (As.shares_page space addr src);
+  Bytes.set src 0 'X';
+  Alcotest.(check int) "source edits do not reach the page" 0 (As.load_u8 space addr);
+  As.store_word space (addr + 8) 1;
+  Alcotest.(check bool) "a store drops the memo" false (As.page_hash_memoized space addr);
+  Alcotest.(check int) "and the hash follows the content"
+    (As.page_bytes_hash (As.load_bytes space addr page))
+    (As.page_hash space addr);
+  Alcotest.check_raises "unmapped page"
+    (As.Segfault { addr = addr + (4 * page); node = 0; what = "install" })
+    (fun () -> As.install_page space (addr + (4 * page)) src ~hash)
+
+(* Every page node 0 retains for [tid], copied out. *)
+let residual c ~node ~tid =
+  let pages = ref [] in
+  Delta_cache.iter_pages (Cluster.delta_cache c node) (fun ~tid:t ~addr b ->
+      if t = tid then pages := (addr, Bytes.copy b) :: !pages);
+  List.sort compare !pages
+
+let test_retained_survives_store_and_rollback () =
+  (* The live-page hand-off must leave each residual page owned by its
+     cache alone: a guest store, a rolled-back hop and another store must
+     not reach node 0's retained image of the thread, and the final hop
+     must rebuild the payload from it. *)
+  let far = Result.get_ok (Pm2_fault.Plan.spec_of_string "part=0-1@1e11-2e11") in
+  let plan = Pm2_fault.Plan.create ~seed:5 far in
+  let c =
+    Cluster.create
+      (Pm2.Config.make ~nodes:2 ~fault_plan:plan ~delta_cache_bytes:budget ())
+      empty_program
+  in
+  let th, addr = furnish c in
+  ignore (hop c th ~dest:1);
+  let tid = th.Thread.id in
+  let kept = residual c ~node:0 ~tid in
+  Alcotest.(check bool) "node 0 retains the payload" true (List.length kept >= payload / page);
+  let s1 = Cluster.node_space c 1 in
+  As.store_word s1 (addr + (3 * page) + 128) 0xabcd;
+  (* Sever the link just after the next handshake: the train is lost and
+     the group rolls back onto node 1. *)
+  let now = Pm2_sim.Engine.now (Cluster.engine c) in
+  Pm2_fault.Plan.set_spec plan
+    (Result.get_ok
+       (Pm2_fault.Plan.spec_of_string (Printf.sprintf "part=0-1@%.0f-1e12" (now +. 100.))));
+  (match Cluster.migrate_group c [ th ] ~dest:0 with
+   | Ok _ -> ()
+   | Error e -> Alcotest.fail e);
+  ignore (Cluster.run c);
+  Alcotest.(check int) "the hop rolled back" 1 (Cluster.aborted_groups c);
+  Alcotest.(check int) "still on node 1" 1 th.Thread.node;
+  Cluster.check_invariants c;
+  As.store_word s1 (addr + (4 * page) + 128) 0x1234;
+  Alcotest.(check bool) "retained bytes unchanged" true (residual c ~node:0 ~tid = kept);
+  Pm2_fault.Plan.set_spec plan far;
+  ignore (hop c th ~dest:0);
+  Alcotest.(check int) "home" 0 th.Thread.node;
+  check_payload c th addr;
+  let s0 = Cluster.node_space c 0 in
+  Alcotest.(check int) "first store arrived" 0xabcd (As.load_word s0 (addr + (3 * page) + 128));
+  Alcotest.(check int) "second store arrived" 0x1234 (As.load_word s0 (addr + (4 * page) + 128));
+  (match List.rev (Cluster.group_migrations c) with
+   | back :: _ ->
+     Alcotest.(check bool) "the last hop was a delta" true (back.Cluster.g_cached_pages > 12)
+   | [] -> Alcotest.fail "no group record");
+  (* A page restored from the residual carries its verified hash. *)
+  let cached = (addr + (8 * page)) / page * page in
+  Alcotest.(check bool) "restored page memoized" true (As.page_hash_memoized s0 cached);
+  Alcotest.(check int) "memo = page_bytes_hash"
+    (As.page_bytes_hash (As.load_bytes s0 cached page))
+    (As.page_hash s0 cached);
+  Cluster.check_invariants c
+
+let test_pack_group_retains () =
+  (* A checkpoint ([~unmap:false]) keeps running on its pages, so its
+     retained pages must be copies; a migration hands the unmapped
+     pages' own buffers over, bytes intact. *)
+  let c = cluster () in
+  let th, addr = furnish c in
+  let space = Cluster.node_space c 0 in
+  let cost = (Cluster.config c).Cluster.cost in
+  let pack ~unmap =
+    Migration.pack_group ~version:Codec.V3 ~unmap ~cost ~space ~gid:0 [ th ]
+  in
+  let page_at a = As.load_bytes space a page in
+  let p = pack ~unmap:false in
+  let retained = List.assoc th.Thread.id p.Migration.g_retained in
+  Alcotest.(check bool) "every payload page retained" true
+    (List.length retained >= payload / page);
+  let before = List.map (fun (a, _) -> (a, page_at a)) retained in
+  List.iter
+    (fun (a, b) ->
+      Alcotest.(check bool) "checkpoint copies" false (As.shares_page space a b))
+    retained;
+  As.store_word space (addr + (2 * page)) 0x7777;
+  Alcotest.(check bool) "a later store leaves the checkpoint's pages alone" true
+    (List.for_all2 (fun (_, b) (_, b') -> Bytes.equal b b') retained before);
+  let before = List.map (fun (a, _) -> (a, page_at a)) retained in
+  let p = pack ~unmap:true in
+  let handed = List.assoc th.Thread.id p.Migration.g_retained in
+  Alcotest.(check bool) "the migration's pages carry the packed bytes" true
+    (List.map (fun (a, b) -> (a, Bytes.to_string b)) handed
+     = List.map (fun (a, b) -> (a, Bytes.to_string b)) before);
+  Alcotest.(check bool) "and are no longer mapped" false
+    (List.exists (fun (a, _) -> As.is_mapped space a) handed)
+
+let test_frame_in_place () =
+  (* A frame built in place around its payload ([begin_frame]/[end_frame],
+     as [pack_group] builds its image) is byte-for-byte the frame of the
+     same payload packed on its own, traced or not, for every mix of run
+     lengths (varint widths) and classes. *)
+  let prng = Pm2_util.Prng.create ~seed:17 in
+  for _ = 1 to 40 do
+    let npages = 1 + Pm2_util.Prng.int prng 200 in
+    let space = As.create ~node:0 () in
+    let addr = 0x100000 in
+    As.mmap space ~addr ~size:(npages * page);
+    for i = 0 to npages - 1 do
+      if Pm2_util.Prng.int prng 3 > 0 then As.store_word space (addr + (i * page)) (i + 1)
+    done;
+    let known a = if Pm2_util.Prng.bool prng then Some (As.page_hash space a) else None in
+    let classes = Codec.delta_manifest space ~addr ~size:(npages * page) ~known in
+    let runs = Codec.manifest space ~addr ~size:(npages * page) in
+    let encode version p =
+      match version with
+      | Codec.V3 -> ignore (Codec.encode_delta_manifest p space ~addr classes)
+      | Codec.V1 | Codec.V2 -> ignore (Codec.encode_manifest p space ~addr runs)
+    in
+    List.iter
+      (fun (version, trace) ->
+        let payload =
+          let p = Packet.packer () in
+          encode version p;
+          Packet.contents p
+        in
+        let p = Packet.packer () in
+        let slot = Codec.begin_frame ?trace p version in
+        encode version p;
+        Codec.end_frame p slot;
+        Alcotest.(check bool)
+          (Printf.sprintf "%s frame, %d pages" (Codec.version_name version) npages)
+          true
+          (Bytes.equal (Packet.contents p) (Codec.frame ?trace version payload)))
+      [ (Codec.V2, None); (Codec.V3, None); (Codec.V3, Some (42, 7)) ]
+  done
+
 let tests =
   [
     Alcotest.test_case "page hashing: memo + invalidation" `Quick test_page_hash;
@@ -493,4 +651,11 @@ let tests =
       test_guest_output_unchanged_with_delta;
     Alcotest.test_case "cache-affinity hint" `Quick test_cache_affinity_policy;
     Alcotest.test_case "cache-affinity policy balances" `Quick test_cache_affinity_balances;
+    Alcotest.test_case "install_page memoizes a private copy" `Quick
+      test_install_page_memoizes;
+    Alcotest.test_case "retained image survives store + rollback" `Quick
+      test_retained_survives_store_and_rollback;
+    Alcotest.test_case "pack_group: checkpoint copies, migration hands off" `Quick
+      test_pack_group_retains;
+    Alcotest.test_case "frame built in place = frame" `Quick test_frame_in_place;
   ]
